@@ -11,20 +11,27 @@ namespace {
 ///
 ///   Repeat
 ///     Choose the unassigned instance with the highest seed key;
-///     Place this instance in a new block;
+///     Place this instance in the current block, or in a new block when
+///     it does not fit;
 ///     Repeat
 ///       Choose the relationship belonging to some instance assigned to
 ///       the block such that (1) it connects to an unassigned instance
 ///       outside the block and (2) its pull key is the highest;
 ///       Assign the instance attached to this relationship to the block;
-///     Until the block is full;
+///     Until the block is full or no such relationship is left;
 ///   Until all instances are assigned blocks.
+///
+/// The paper opens a new block per seed. Here a seed whose neighbourhood
+/// runs dry before the block fills hands the rest of the block to the
+/// next seed: small connected components and cold leftovers share blocks
+/// instead of each taking a near-empty one, so a traversal reads fewer
+/// blocks (paper 2.3's cost) and the database fits a smaller pool.
 ///
 /// Policies differ only in the two keys. Both orderings break ties on
 /// lower instance id, so the placement is deterministic. Candidates that
 /// no longer fit are skipped (the packer keeps trying smaller ones); an
-/// instance larger than the capacity by itself still seeds its own
-/// cluster, so oversized records degrade to one-record blocks instead of
+/// instance larger than the capacity by itself still gets a cluster of
+/// its own, so oversized records degrade to one-record blocks instead of
 /// wedging the loop.
 template <typename SeedKey, typename PullKey>
 Placement PackWith(const ClusterInput& input, SeedKey seed_key,
@@ -46,7 +53,8 @@ Placement PackWith(const ClusterInput& input, SeedKey seed_key,
 
   std::set<InstanceId> unassigned(seeds.begin(), seeds.end());
   size_t seed_cursor = 0;
-  int cluster = 0;
+  int cluster = -1;  // the block being filled; none open yet
+  size_t used = 0;   // its bytes, header included
 
   auto size_of = [&](InstanceId id) -> size_t {
     auto it = input.record_sizes.find(id);
@@ -62,7 +70,11 @@ Placement PackWith(const ClusterInput& input, SeedKey seed_key,
     if (seed_cursor >= seeds.size()) break;  // defensive; cannot happen
     InstanceId seed = seeds[seed_cursor];
 
-    size_t used = input.block_header + size_of(seed);
+    if (cluster < 0 || used + size_of(seed) > input.block_capacity) {
+      ++cluster;
+      used = input.block_header;
+    }
+    used += size_of(seed);
     unassigned.erase(seed);
     placement.emplace_back(seed, cluster);
 
@@ -99,7 +111,6 @@ Placement PackWith(const ClusterInput& input, SeedKey seed_key,
       placement.emplace_back(c.peer, cluster);
       push_neighbors(c.peer);
     }
-    ++cluster;
   }
 
   return placement;

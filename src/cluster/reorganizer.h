@@ -6,12 +6,12 @@
 // the database on the basis of this information."
 //
 // The packing loop itself lives behind the cluster::Policy interface
-// (cluster/policy.h); this header defines the graph view every policy
-// works over, plus the legacy GreedyPack entry point (the paper's greedy
-// usage-count scheme, now GreedyUsagePolicy).
+// (cluster/policy.h; the paper's greedy usage-count scheme is
+// GreedyUsagePolicy); this header defines the graph view every policy
+// works over.
 //
 // The result is a cluster index per instance; storage::RecordStore
-// ApplyPlacement packs same-cluster instances into the same block chain.
+// ApplyPlacement packs same-cluster instances into the same block.
 
 #ifndef CACTIS_CLUSTER_REORGANIZER_H_
 #define CACTIS_CLUSTER_REORGANIZER_H_
@@ -52,12 +52,6 @@ struct ClusterInput {
   size_t per_record_overhead = 12;
   size_t block_header = 4;
 };
-
-/// Runs the paper's greedy usage-count packing; returns (instance,
-/// cluster index) for every instance in `input.record_sizes`.
-/// Deterministic: ties break on lower instance id. Equivalent to
-/// GreedyUsagePolicy().Place(input); kept as the historical entry point.
-std::vector<std::pair<InstanceId, int>> GreedyPack(const ClusterInput& input);
 
 }  // namespace cactis::cluster
 

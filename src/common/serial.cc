@@ -70,6 +70,9 @@ Result<Value> ValueCodec::Decode(BinaryReader* r) {
     }
     case ValueType::kArray: {
       CACTIS_ASSIGN_OR_RETURN(uint32_t n, r->GetU32());
+      if (n > r->remaining()) {
+        return Status::IoError("array length exceeds serialized data");
+      }
       std::vector<Value> elems;
       elems.reserve(n);
       for (uint32_t i = 0; i < n; ++i) {
@@ -80,6 +83,9 @@ Result<Value> ValueCodec::Decode(BinaryReader* r) {
     }
     case ValueType::kRecord: {
       CACTIS_ASSIGN_OR_RETURN(uint32_t n, r->GetU32());
+      if (n > r->remaining()) {
+        return Status::IoError("record field count exceeds serialized data");
+      }
       std::vector<std::pair<std::string, Value>> fields;
       fields.reserve(n);
       for (uint32_t i = 0; i < n; ++i) {

@@ -1831,7 +1831,10 @@ Status Database::Reorganize() {
   FoldUsageStatistics();
 
   cluster::ClusterInput input;
-  input.block_capacity = options_.block_size;
+  // The record store's capacity, not the raw block size: each block also
+  // carries its checksum frame, and a cluster packed to the raw size
+  // would spill its last record into a block of its own.
+  input.block_capacity = pool_.usable_block_bytes();
   input.access_counts = access_counts_;
 
   for (InstanceId id : store_.AllInstances()) {

@@ -32,25 +32,46 @@ void Instance::MigrateTo(const schema::ObjectClass& cls) {
   }
 }
 
+// Record format. Every id, count and port index is a LEB128 varint
+// (common/serial.h), so a typical record is a few dozen bytes instead of
+// a row of fixed 8-byte ids:
+//
+//   id  class  attr_count  { flags  value }*  port_count
+//   { edge_count  { edge_id  peer  peer_port }* }*
+//
+// `flags` holds out_of_date (bit 0), subscribed (bit 1) and kInlineInt
+// (bit 2): an int value follows as a zigzag varint, any other value as a
+// ValueCodec encoding.
+namespace {
+constexpr uint8_t kOutOfDate = 1, kSubscribed = 2, kInlineInt = 4;
+constexpr uint8_t kKnownFlags = kOutOfDate | kSubscribed | kInlineInt;
+}  // namespace
+
 std::string Instance::Serialize() const {
   BinaryWriter w;
-  w.PutU64(id_.value);
-  w.PutU64(class_id_.value);
-  w.PutU32(static_cast<uint32_t>(attrs_.size()));
+  w.PutVarint(id_.value);
+  w.PutVarint(class_id_.value);
+  w.PutVarint(attrs_.size());
   for (const AttrSlot& slot : attrs_) {
+    const bool is_int = slot.value.type() == ValueType::kInt;
     uint8_t flags = 0;
-    if (slot.out_of_date) flags |= 1;
-    if (slot.subscribed) flags |= 2;
+    if (slot.out_of_date) flags |= kOutOfDate;
+    if (slot.subscribed) flags |= kSubscribed;
+    if (is_int) flags |= kInlineInt;
     w.PutU8(flags);
-    ValueCodec::Encode(slot.value, &w);
+    if (is_int) {
+      w.PutZigzag(*slot.value.AsInt());
+    } else {
+      ValueCodec::Encode(slot.value, &w);
+    }
   }
-  w.PutU32(static_cast<uint32_t>(ports_.size()));
+  w.PutVarint(ports_.size());
   for (const std::vector<EdgeRecord>& edges : ports_) {
-    w.PutU32(static_cast<uint32_t>(edges.size()));
+    w.PutVarint(edges.size());
     for (const EdgeRecord& e : edges) {
-      w.PutU64(e.id.value);
-      w.PutU64(e.peer.value);
-      w.PutU32(e.peer_port);
+      w.PutVarint(e.id.value);
+      w.PutVarint(e.peer.value);
+      w.PutVarint(e.peer_port);
     }
   }
   return w.Take();
@@ -60,36 +81,46 @@ Result<Instance> Instance::Deserialize(const std::string& payload,
                                        const schema::Catalog& catalog) {
   BinaryReader r(payload);
   Instance inst;
-  CACTIS_ASSIGN_OR_RETURN(uint64_t id, r.GetU64());
-  CACTIS_ASSIGN_OR_RETURN(uint64_t cls, r.GetU64());
+  CACTIS_ASSIGN_OR_RETURN(uint64_t id, r.GetVarint());
+  CACTIS_ASSIGN_OR_RETURN(uint64_t cls, r.GetVarint());
   inst.id_ = InstanceId(id);
   inst.class_id_ = ClassId(cls);
-  CACTIS_ASSIGN_OR_RETURN(uint32_t attr_count, r.GetU32());
+  CACTIS_ASSIGN_OR_RETURN(uint64_t attr_count, r.GetCount());
   inst.attrs_.reserve(attr_count);
-  for (uint32_t i = 0; i < attr_count; ++i) {
+  for (uint64_t i = 0; i < attr_count; ++i) {
     CACTIS_ASSIGN_OR_RETURN(uint8_t flags, r.GetU8());
-    CACTIS_ASSIGN_OR_RETURN(Value v, ValueCodec::Decode(&r));
+    if ((flags & ~kKnownFlags) != 0) {
+      return Status::IoError("unknown attribute flags in instance record");
+    }
     AttrSlot slot;
-    slot.value = std::move(v);
-    slot.out_of_date = (flags & 1) != 0;
-    slot.subscribed = (flags & 2) != 0;
+    if (flags & kInlineInt) {
+      CACTIS_ASSIGN_OR_RETURN(int64_t v, r.GetZigzag());
+      slot.value = Value::Int(v);
+    } else {
+      CACTIS_ASSIGN_OR_RETURN(slot.value, ValueCodec::Decode(&r));
+    }
+    slot.out_of_date = (flags & kOutOfDate) != 0;
+    slot.subscribed = (flags & kSubscribed) != 0;
     inst.attrs_.push_back(std::move(slot));
   }
-  CACTIS_ASSIGN_OR_RETURN(uint32_t port_count, r.GetU32());
+  CACTIS_ASSIGN_OR_RETURN(uint64_t port_count, r.GetCount());
   inst.ports_.resize(port_count);
-  for (uint32_t p = 0; p < port_count; ++p) {
-    CACTIS_ASSIGN_OR_RETURN(uint32_t edge_count, r.GetU32());
-    inst.ports_[p].reserve(edge_count);
-    for (uint32_t e = 0; e < edge_count; ++e) {
-      EdgeRecord edge;
-      CACTIS_ASSIGN_OR_RETURN(uint64_t eid, r.GetU64());
-      CACTIS_ASSIGN_OR_RETURN(uint64_t peer, r.GetU64());
-      CACTIS_ASSIGN_OR_RETURN(uint32_t peer_port, r.GetU32());
-      edge.id = EdgeId(eid);
-      edge.peer = InstanceId(peer);
-      edge.peer_port = peer_port;
-      inst.ports_[p].push_back(edge);
+  for (std::vector<EdgeRecord>& edges : inst.ports_) {
+    CACTIS_ASSIGN_OR_RETURN(uint64_t edge_count, r.GetCount());
+    edges.reserve(edge_count);
+    for (uint64_t e = 0; e < edge_count; ++e) {
+      CACTIS_ASSIGN_OR_RETURN(uint64_t eid, r.GetVarint());
+      CACTIS_ASSIGN_OR_RETURN(uint64_t peer, r.GetVarint());
+      CACTIS_ASSIGN_OR_RETURN(uint64_t peer_port, r.GetVarint());
+      if (peer_port > UINT32_MAX) {
+        return Status::IoError("edge port index out of range");
+      }
+      edges.push_back(EdgeRecord{EdgeId(eid), InstanceId(peer),
+                                 static_cast<uint32_t>(peer_port)});
     }
+  }
+  if (!r.AtEnd()) {
+    return Status::IoError("trailing bytes after instance record");
   }
 
   const schema::ObjectClass* cls_def = catalog.GetClass(inst.class_id_);

@@ -56,10 +56,12 @@ class Instance {
   /// date, new intrinsic slots take their default.
   void MigrateTo(const schema::ObjectClass& cls);
 
-  /// Flat binary encoding for the record store.
+  /// Compact varint encoding for the record store (format in
+  /// instance.cc).
   std::string Serialize() const;
 
-  /// Decodes and migrates to the current class definition.
+  /// Decodes and migrates to the current class definition. Truncated,
+  /// overlong or trailing data is kIoError.
   static Result<Instance> Deserialize(const std::string& payload,
                                       const schema::Catalog& catalog);
 

@@ -135,6 +135,25 @@ TEST_P(EveryPolicyTest, DeterministicUnderTies) {
   EXPECT_EQ(a, b);
 }
 
+TEST_P(EveryPolicyTest, NextSeedFillsTheBlockTheLastOneLeft) {
+  // Three two-record components; a block fits four records. When the
+  // first component's frontier runs dry the second continues its block;
+  // the third no longer fits and opens the next one.
+  ClusterInput in = MakeInput(4 + 4 * (12 + 20));
+  for (uint64_t i = 1; i <= 6; ++i) AddInstance(&in, i, 10);
+  AddEdge(&in, 1, 2, 5);
+  AddEdge(&in, 3, 4, 5);
+  AddEdge(&in, 5, 6, 5);
+  auto map = ClusterOf(Place(in));
+  ASSERT_EQ(map.size(), 6u);
+  EXPECT_EQ(map[1], 0);
+  EXPECT_EQ(map[2], 0);
+  EXPECT_EQ(map[3], 0);
+  EXPECT_EQ(map[4], 0);
+  EXPECT_EQ(map[5], 1);
+  EXPECT_EQ(map[6], 1);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllPolicies, EveryPolicyTest,
                          ::testing::ValuesIn(AllPolicyKinds()),
                          [](const ::testing::TestParamInfo<PolicyKind>& i) {
@@ -210,14 +229,6 @@ TEST(PolicyRegistryTest, NamesRoundTrip) {
   }
   EXPECT_EQ(PolicyKindFromName("greedy"), PolicyKind::kGreedyUsage);
   EXPECT_FALSE(PolicyKindFromName("nope").has_value());
-}
-
-TEST(PolicyRegistryTest, LegacyGreedyPackMatchesGreedyUsagePolicy) {
-  ClusterInput in = MakeInput(4 + 2 * (12 + 20));
-  for (uint64_t i = 1; i <= 4; ++i) AddInstance(&in, i, 10);
-  AddEdge(&in, 1, 2, 100);
-  AddEdge(&in, 3, 4, 100);
-  EXPECT_EQ(GreedyPack(in), GreedyUsagePolicy().Place(in));
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "storage/buffer_pool.h"
 #include "storage/checksum.h"
 #include "storage/fault_policy.h"
@@ -29,6 +31,34 @@ TEST(ChecksumTest, RoundTripAndDetection) {
   auto empty = UnwrapChecksum("");
   ASSERT_TRUE(empty.ok());
   EXPECT_TRUE(empty->empty());
+}
+
+// The textbook bit-at-a-time CRC-32, the reference Crc32 must match.
+uint32_t BitwiseCrc32(std::string_view data) {
+  uint32_t c = 0xFFFFFFFFu;
+  for (unsigned char byte : data) {
+    c ^= byte;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(ChecksumTest, Crc32StandardCheckValue) {
+  EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(Crc32(""), 0u);
+}
+
+TEST(ChecksumTest, Crc32MatchesBitwiseReferenceAtAnyLengthAndOffset) {
+  std::mt19937 rng(12345);
+  std::string buf(5000 + 8, '\0');
+  for (char& ch : buf) ch = static_cast<char>(rng());
+  for (int trial = 0; trial < 400; ++trial) {
+    const size_t offset = rng() % 8;  // unaligned starts
+    const size_t len = trial < 17 ? trial : rng() % 5001;
+    std::string_view slice(buf.data() + offset, len);
+    ASSERT_EQ(Crc32(slice), BitwiseCrc32(slice))
+        << "length " << len << " offset " << offset;
+  }
 }
 
 TEST(FaultInjectionTest, TransientWriteErrorIsRetriable) {

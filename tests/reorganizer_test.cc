@@ -1,7 +1,8 @@
-// GreedyPack unit tests: the paper's clustering loop (most-referenced
-// seed, highest-usage relationship pulls, block-capacity bound).
+// GreedyUsagePolicy unit tests: the paper's clustering loop
+// (most-referenced seed, highest-usage relationship pulls, block-capacity
+// bound).
 
-#include "cluster/reorganizer.h"
+#include "cluster/policy.h"
 
 #include <gtest/gtest.h>
 
@@ -34,16 +35,16 @@ std::map<uint64_t, int> ClusterOf(
   return out;
 }
 
-TEST(GreedyPackTest, CoversEveryInstanceExactlyOnce) {
+TEST(GreedyUsagePolicyTest, CoversEveryInstanceExactlyOnce) {
   ClusterInput in = MakeInput(100);
   for (uint64_t i = 1; i <= 10; ++i) AddInstance(&in, i, i);
-  auto placement = GreedyPack(in);
+  auto placement = GreedyUsagePolicy().Place(in);
   EXPECT_EQ(placement.size(), 10u);
   auto map = ClusterOf(placement);
   EXPECT_EQ(map.size(), 10u);
 }
 
-TEST(GreedyPackTest, HighUsageNeighborsShareACluster) {
+TEST(GreedyUsagePolicyTest, HighUsageNeighborsShareACluster) {
   // 1-2 hot pair, 3-4 hot pair, cold cross edges.
   ClusterInput in = MakeInput(4 + 2 * (12 + 20));  // two records per block
   for (uint64_t i = 1; i <= 4; ++i) AddInstance(&in, i, 10);
@@ -51,29 +52,29 @@ TEST(GreedyPackTest, HighUsageNeighborsShareACluster) {
   AddEdge(&in, 3, 4, 100);
   AddEdge(&in, 1, 3, 1);
   AddEdge(&in, 2, 4, 1);
-  auto map = ClusterOf(GreedyPack(in));
+  auto map = ClusterOf(GreedyUsagePolicy().Place(in));
   EXPECT_EQ(map[1], map[2]);
   EXPECT_EQ(map[3], map[4]);
   EXPECT_NE(map[1], map[3]);
 }
 
-TEST(GreedyPackTest, SeedsByMostReferenced) {
+TEST(GreedyUsagePolicyTest, SeedsByMostReferenced) {
   ClusterInput in = MakeInput(4 + 12 + 20);  // one record per block
   AddInstance(&in, 1, 5);
   AddInstance(&in, 2, 50);  // most referenced: cluster 0
   AddInstance(&in, 3, 1);
-  auto map = ClusterOf(GreedyPack(in));
+  auto map = ClusterOf(GreedyUsagePolicy().Place(in));
   EXPECT_EQ(map[2], 0);
 }
 
-TEST(GreedyPackTest, RespectsBlockCapacity) {
+TEST(GreedyUsagePolicyTest, RespectsBlockCapacity) {
   // Three records of 40 bytes; capacity fits exactly two.
   ClusterInput in = MakeInput(4 + 2 * (12 + 40));
   for (uint64_t i = 1; i <= 3; ++i) AddInstance(&in, i, 10, 40);
   AddEdge(&in, 1, 2, 10);
   AddEdge(&in, 2, 3, 9);
   AddEdge(&in, 1, 3, 8);
-  auto map = ClusterOf(GreedyPack(in));
+  auto map = ClusterOf(GreedyUsagePolicy().Place(in));
   std::map<int, int> sizes;
   for (const auto& [id, c] : map) {
     (void)id;
@@ -85,13 +86,13 @@ TEST(GreedyPackTest, RespectsBlockCapacity) {
   }
 }
 
-TEST(GreedyPackTest, ChainPacksContiguously) {
+TEST(GreedyUsagePolicyTest, ChainPacksContiguously) {
   // A chain with uniform usage packs consecutive runs together.
   size_t per_block = 3;
   ClusterInput in = MakeInput(4 + per_block * (12 + 20));
   for (uint64_t i = 1; i <= 9; ++i) AddInstance(&in, i, 9);
   for (uint64_t i = 1; i < 9; ++i) AddEdge(&in, i, i + 1, 5);
-  auto map = ClusterOf(GreedyPack(in));
+  auto map = ClusterOf(GreedyUsagePolicy().Place(in));
   // Every cluster's members form a contiguous id range (chain locality).
   std::map<int, std::pair<uint64_t, uint64_t>> ranges;
   std::map<int, int> counts;
@@ -110,24 +111,24 @@ TEST(GreedyPackTest, ChainPacksContiguously) {
   }
 }
 
-TEST(GreedyPackTest, DisconnectedInstancesStillPlaced) {
+TEST(GreedyUsagePolicyTest, DisconnectedInstancesStillPlaced) {
   ClusterInput in = MakeInput(200);
   AddInstance(&in, 1, 10);
   AddInstance(&in, 2, 0);  // no edges, never referenced
-  auto map = ClusterOf(GreedyPack(in));
+  auto map = ClusterOf(GreedyUsagePolicy().Place(in));
   EXPECT_EQ(map.size(), 2u);
 }
 
-TEST(GreedyPackTest, EmptyInputYieldsEmptyPlacement) {
+TEST(GreedyUsagePolicyTest, EmptyInputYieldsEmptyPlacement) {
   ClusterInput in = MakeInput(100);
-  EXPECT_TRUE(GreedyPack(in).empty());
+  EXPECT_TRUE(GreedyUsagePolicy().Place(in).empty());
 }
 
-TEST(GreedyPackTest, DeterministicTieBreaks) {
+TEST(GreedyUsagePolicyTest, DeterministicTieBreaks) {
   ClusterInput in = MakeInput(100);
   for (uint64_t i = 1; i <= 5; ++i) AddInstance(&in, i, 7);
-  auto a = GreedyPack(in);
-  auto b = GreedyPack(in);
+  auto a = GreedyUsagePolicy().Place(in);
+  auto b = GreedyUsagePolicy().Place(in);
   EXPECT_EQ(a, b);
 }
 

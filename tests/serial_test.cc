@@ -111,5 +111,88 @@ TEST(SerialTest, DecodeRejectsBadTag) {
   EXPECT_FALSE(ValueCodec::Decode(&r).ok());
 }
 
+TEST(SerialTest, DecodeRejectsArrayLengthBeyondData) {
+  // A corrupt element count must fail before it sizes an allocation.
+  BinaryWriter w;
+  w.PutU8(static_cast<uint8_t>(ValueType::kArray));
+  w.PutU32(0xFFFFFFFFu);
+  BinaryReader r(w.data());
+  auto v = ValueCodec::Decode(&r);
+  ASSERT_FALSE(v.ok());
+  EXPECT_EQ(v.status().code(), StatusCode::kIoError);
+}
+
+TEST(SerialTest, VarintBoundariesRoundTrip) {
+  const std::pair<uint64_t, size_t> cases[] = {
+      {0, 1},           {127, 1},
+      {128, 2},         {16383, 2},
+      {16384, 3},       {(1ull << 32) - 1, 5},
+      {1ull << 32, 5},  {(1ull << 63) - 1, 9},
+      {1ull << 63, 10}, {UINT64_MAX, 10},
+  };
+  for (const auto& [value, bytes] : cases) {
+    BinaryWriter w;
+    w.PutVarint(value);
+    EXPECT_EQ(w.size(), bytes) << value;
+    BinaryReader r(w.data());
+    auto back = r.GetVarint();
+    ASSERT_TRUE(back.ok()) << value << ": " << back.status();
+    EXPECT_EQ(*back, value);
+    EXPECT_TRUE(r.AtEnd());
+  }
+}
+
+TEST(SerialTest, ZigzagRoundTrip) {
+  const std::pair<int64_t, size_t> cases[] = {
+      {0, 1},  {-1, 1},         {1, 1},          {-64, 1},
+      {64, 2}, {INT64_MIN, 10}, {INT64_MAX, 10},
+  };
+  for (const auto& [value, bytes] : cases) {
+    BinaryWriter w;
+    w.PutZigzag(value);
+    EXPECT_EQ(w.size(), bytes) << value;
+    BinaryReader r(w.data());
+    auto back = r.GetZigzag();
+    ASSERT_TRUE(back.ok()) << value << ": " << back.status();
+    EXPECT_EQ(*back, value);
+  }
+}
+
+TEST(SerialTest, TruncatedVarintIsIoError) {
+  for (std::string bytes : {std::string(), std::string("\x80"),
+                            std::string("\xff\xff\xff")}) {
+    BinaryReader r(bytes);
+    auto v = r.GetVarint();
+    ASSERT_FALSE(v.ok());
+    EXPECT_EQ(v.status().code(), StatusCode::kIoError);
+  }
+}
+
+TEST(SerialTest, OverlongVarintIsIoError) {
+  // Eleven bytes: continuation past the tenth.
+  std::string eleven(10, '\x80');
+  eleven.push_back('\x00');
+  // Ten bytes whose last carries bits beyond 64.
+  std::string overflow(9, '\xff');
+  overflow.push_back('\x02');
+  for (const std::string& bytes : {eleven, overflow}) {
+    BinaryReader r(bytes);
+    auto v = r.GetVarint();
+    ASSERT_FALSE(v.ok());
+    EXPECT_EQ(v.status().code(), StatusCode::kIoError);
+  }
+}
+
+TEST(SerialTest, CountBeyondRemainingBytesIsIoError) {
+  BinaryWriter w;
+  w.PutVarint(3);
+  w.PutU8(1);
+  w.PutU8(2);
+  BinaryReader r(w.data());
+  auto n = r.GetCount();
+  ASSERT_FALSE(n.ok());
+  EXPECT_EQ(n.status().code(), StatusCode::kIoError);
+}
+
 }  // namespace
 }  // namespace cactis

@@ -150,11 +150,12 @@ TEST_F(DbVersionTest, CommittingAfterCheckoutTruncatesFuture) {
 }
 
 TEST_F(DbVersionTest, VersionsSurviveEviction) {
-  // A small buffer pool forces the restored state through real
+  // A small buffer pool (and blocks small enough that the modules span
+  // several times it) forces the restored state through real
   // serialisation; versions must still round-trip.
   core::DatabaseOptions opts;
   opts.buffer_capacity = 2;
-  opts.block_size = 512;
+  opts.block_size = 128;
   Database db(opts);
   ASSERT_TRUE(db.LoadSchema(kSchema).ok());
   std::vector<InstanceId> mods;
