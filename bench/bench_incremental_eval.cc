@@ -33,7 +33,8 @@ uint64_t SatAdd(uint64_t a, uint64_t b) {
   return s;
 }
 
-void RunConfig(int depth, int width, int fanin, Table* table) {
+void RunConfig(int depth, int width, int fanin, Table* table,
+               BenchReport* report) {
   core::DatabaseOptions opts;
   opts.buffer_capacity = 1u << 16;  // memory-resident: count evals only
   core::Database db(opts);
@@ -99,6 +100,16 @@ void RunConfig(int depth, int width, int fanin, Table* table) {
     }
   }
 
+  // Exact counters (bench_diff compares them with no tolerance): the
+  // rule executions are deterministic, so any change is a change in
+  // what the evaluator does.
+  std::string key = "e1_d";
+  key += std::to_string(depth) + "_w" + std::to_string(width) + "_f" +
+         std::to_string(fanin);
+  report->SetCounter(key + "_touched", touched);
+  report->SetCounter(key + "_cactis_evals", cactis_evals);
+  report->SetCounter(key + "_recompute_all_evals", recompute_all);
+
   uint64_t nodes = static_cast<uint64_t>(depth) * width;
   table->AddRow({Num(static_cast<uint64_t>(depth)),
                  Num(static_cast<uint64_t>(width)),
@@ -124,7 +135,7 @@ int main() {
     for (int width : {4, 8}) {
       for (int fanin : {2, 4}) {
         if (fanin > width) continue;
-        RunConfig(depth, width, fanin, &table);
+        RunConfig(depth, width, fanin, &table, &report);
       }
     }
   }

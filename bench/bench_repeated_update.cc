@@ -43,6 +43,13 @@ int main() {
 
     table.AddRow({Num(static_cast<uint64_t>(n)), Num(first), Num(second),
                   Num(third), Num(cutoffs)});
+    // Exact counters (bench_diff compares them with no tolerance).
+    std::string key = "e2_n";
+    key += std::to_string(n);
+    report.SetCounter(key + "_first_visits", first);
+    report.SetCounter(key + "_second_visits", second);
+    report.SetCounter(key + "_third_visits", third);
+    report.SetCounter(key + "_cutoffs", cutoffs);
   }
   table.Print();
   std::printf(

@@ -72,6 +72,14 @@ int main() {
                              buffer, 12, 24, 3);
     table.AddRow({Num(static_cast<uint64_t>(buffer)), Num(greedy),
                   Num(greedy_static), Num(dfs), Num(bfs)});
+    // Exact counters (bench_diff compares them with no tolerance): block
+    // reads on the simulated disk are deterministic.
+    std::string key = "e4_b";
+    key += std::to_string(buffer);
+    report.SetCounter(key + "_greedy_adaptive_reads", greedy);
+    report.SetCounter(key + "_greedy_static_reads", greedy_static);
+    report.SetCounter(key + "_depth_first_reads", dfs);
+    report.SetCounter(key + "_breadth_first_reads", bfs);
   }
   table.Print();
   std::printf(

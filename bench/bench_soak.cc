@@ -234,6 +234,9 @@ void DriverThread(size_t tid, size_t sessions, int ops, uint16_t port,
 }
 
 int RunSoak() {
+  // The report's wall clock starts at construction, so it must exist
+  // before the run it times.
+  BenchReport report("soak");
   RaiseFdLimit();
   const bool smoke = EnvInt("CACTIS_SOAK_SMOKE", 0) != 0;
   const size_t sessions = static_cast<size_t>(
@@ -367,7 +370,6 @@ int RunSoak() {
       static_cast<unsigned long long>(ns.frames_received.load()),
       static_cast<unsigned long long>(ns.frames_sent.load()));
 
-  BenchReport report("soak");
   report.SetConfig("sessions", static_cast<uint64_t>(sessions));
   report.SetConfig("ops_per_session", ops);
   report.SetConfig("read_pct", read_pct);

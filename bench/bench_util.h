@@ -194,7 +194,10 @@ class BenchReport {
       : name_(std::move(name)), start_(std::chrono::steady_clock::now()) {}
 
   void SetConfig(const std::string& key, const std::string& value) {
-    config_.emplace_back(key, "\"" + obs::JsonEscape(value) + "\"");
+    std::string quoted = "\"";
+    quoted += obs::JsonEscape(value);
+    quoted += '"';
+    config_.emplace_back(key, std::move(quoted));
   }
   void SetConfig(const std::string& key, const char* value) {
     SetConfig(key, std::string(value));

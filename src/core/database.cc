@@ -333,6 +333,12 @@ Result<InstanceId> Database::OpCreate(Transaction* t,
 
 Status Database::OpDelete(Transaction* t, InstanceId id) {
   CACTIS_RETURN_IF_ERROR(RequireOpen(t));
+  // Concurrency control only ever sees ids of existing instances (its
+  // marks table is indexed by id). No I/O: a directory lookup.
+  if (!store_.Contains(id)) {
+    return Status::NotFound("no record for instance " +
+                            std::to_string(id.value));
+  }
   CACTIS_RETURN_IF_ERROR(CheckWrite(t, id));
   CACTIS_RETURN_IF_ERROR(DoDelete(&t->delta_, t, id));
   return AbortOnError(t, engine_->EvaluateImportant(t));
@@ -781,7 +787,6 @@ Status Database::DoDelete(txn::TransactionDelta* log, Transaction* t,
   if (log != nullptr) log->records.push_back(std::move(rec));
 
   instances_by_class_[cls->id()].erase(id);
-  access_counts_.erase(id);
   CACTIS_RETURN_IF_ERROR(cache_.Remove(id));
   (void)t;
   return Status::OK();
@@ -874,7 +879,7 @@ Status Database::DoDisconnect(txn::TransactionDelta* log, EdgeId edge) {
   CACTIS_RETURN_IF_ERROR(remove_from(info.from, info.from_port));
   CACTIS_RETURN_IF_ERROR(remove_from(info.to, info.to_port));
   edges_.erase(edge);
-  edge_stats_.erase(edge);
+  if (edge.value < edge_stats_.size()) edge_stats_[edge.value].reset();
 
   if (log != nullptr) {
     txn::DeltaRecord rec;
@@ -1791,7 +1796,7 @@ void Database::FoldUsageStatistics() {
   CACTIS_SERIAL_GUARD(serial_guard_);
   // Fold the shared read path's deferred touches into the access counts
   // before closing the period over them.
-  cache_.DrainTouches(&access_counts_);
+  cache_.DrainTouches();
 
   // Each fold closes one observation period: the decayed counters take
   // the period's raw delta as a new sample, so activity long past decays
@@ -1809,17 +1814,17 @@ void Database::FoldUsageStatistics() {
     auto it = access_decay_
                   .try_emplace(id, AccessDecayEntry(options_.cluster_decay_alpha))
                   .first;
-    auto raw_it = access_counts_.find(id);
-    const uint64_t raw = raw_it == access_counts_.end() ? 0 : raw_it->second;
+    const uint64_t raw = cache_.access_count(id);
     it->second.decay.Record(static_cast<double>(raw - it->second.at_last_fold));
     it->second.at_last_fold = raw;
     raw_total += raw;
     decayed_total += it->second.decay.value();
   }
-  for (auto& [edge, stats] : edge_stats_) {
-    stats.usage_decay.Record(
-        static_cast<double>(stats.usage - stats.usage_at_last_fold));
-    stats.usage_at_last_fold = stats.usage;
+  for (std::optional<EdgeStatEntry>& stats : edge_stats_) {
+    if (!stats) continue;
+    stats->usage_decay.Record(
+        static_cast<double>(stats->usage - stats->usage_at_last_fold));
+    stats->usage_at_last_fold = stats->usage;
   }
   cluster_stats_.raw_access_total = raw_total;
   cluster_stats_.decayed_access_total = decayed_total;
@@ -1835,9 +1840,11 @@ Status Database::Reorganize() {
   // carries its checksum frame, and a cluster packed to the raw size
   // would spill its last record into a block of its own.
   input.block_capacity = pool_.usable_block_bytes();
-  input.access_counts = access_counts_;
 
   for (InstanceId id : store_.AllInstances()) {
+    if (uint64_t accesses = cache_.access_count(id); accesses != 0) {
+      input.access_counts[id] = accesses;
+    }
     CACTIS_ASSIGN_OR_RETURN(std::string payload, store_.Get(id));
     input.record_sizes[id] = payload.size();
     CACTIS_ASSIGN_OR_RETURN(Instance * inst, FetchInstance(id, false));
@@ -2082,8 +2089,7 @@ Result<Database::AttrExplainInfo> Database::ExplainAttr(
 // --- Shared helpers ------------------------------------------------------------
 
 Result<Instance*> Database::FetchInstance(InstanceId id, bool count_access) {
-  if (count_access) ++access_counts_[id];
-  return cache_.Fetch(id);
+  return cache_.Fetch(id, count_access);
 }
 
 Result<Instance*> Database::FetchInstancePublic(InstanceId id) {
@@ -2092,8 +2098,8 @@ Result<Instance*> Database::FetchInstancePublic(InstanceId id) {
 
 Result<const schema::ObjectClass*> Database::ClassOfInstancePtr(
     InstanceId id) {
-  CACTIS_ASSIGN_OR_RETURN(Instance * inst, FetchInstance(id, false));
-  const schema::ObjectClass* cls = catalog_.GetClass(inst->class_id());
+  CACTIS_ASSIGN_OR_RETURN(ClassId class_id, cache_.ClassOf(id));
+  const schema::ObjectClass* cls = catalog_.GetClass(class_id);
   if (cls == nullptr) {
     return Status::Internal("instance " + std::to_string(id.value) +
                             " references unknown class");
@@ -2130,14 +2136,10 @@ void Database::ReleaseCcWrites(Transaction* t) {
 }
 
 Database::EdgeStatEntry& Database::EdgeStatsFor(EdgeId id) {
-  auto it = edge_stats_.find(id);
-  if (it == edge_stats_.end()) {
-    it = edge_stats_
-             .emplace(id, EdgeStatEntry(options_.decay_alpha,
-                                        options_.cluster_decay_alpha))
-             .first;
-  }
-  return it->second;
+  if (id.value >= edge_stats_.size()) edge_stats_.resize(id.value + 1);
+  std::optional<EdgeStatEntry>& stats = edge_stats_[id.value];
+  if (!stats) stats.emplace(options_.decay_alpha, options_.cluster_decay_alpha);
+  return *stats;
 }
 
 Result<Value> Database::CoerceToType(Value value, ValueType declared) {

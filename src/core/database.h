@@ -473,14 +473,15 @@ class Database {
   /// Records a relationship crossing made by an external traversal engine
   /// (the environment layer, workload harnesses): clustering statistics
   /// must see traversals that bypass rule evaluation too.
+  /// An id past every allocated edge names nothing and is ignored.
   void NoteTraversal(EdgeId edge) {
     CACTIS_SERIAL_GUARD(serial_guard_);
-    RecordCrossing(edge);
+    if (EdgeInRange(edge)) RecordCrossing(edge);
   }
 
   /// The decayed crossing counter for `edge` (white-box tests, E16).
   double EdgeDecayedUsage(EdgeId edge) {
-    return EdgeStatsFor(edge).usage_decay.value();
+    return EdgeStatsOrDefault(edge).usage_decay.value();
   }
 
   /// Writes every dirty block back.
@@ -540,9 +541,31 @@ class Database {
   /// across `edge` (the per-relationship decaying average of section 2.3),
   /// and the worst-case estimate gathered at the last reorganisation.
   /// Exposed for experiment E6 and white-box tests.
-  double EdgeExpectedIo(EdgeId edge) { return EdgeStatsFor(edge).decay.value(); }
-  double EdgeWorstCaseIo(EdgeId edge) { return EdgeStatsFor(edge).worst_case; }
-  uint64_t EdgeUsageCount(EdgeId edge) { return EdgeStatsFor(edge).usage; }
+  /// An id past every allocated edge reads as a fresh edge's defaults.
+  double EdgeExpectedIo(EdgeId edge) {
+    return EdgeStatsOrDefault(edge).decay.value();
+  }
+  double EdgeWorstCaseIo(EdgeId edge) {
+    return EdgeStatsOrDefault(edge).worst_case;
+  }
+  uint64_t EdgeUsageCount(EdgeId edge) {
+    return EdgeStatsOrDefault(edge).usage;
+  }
+
+  /// Slot counts of the dense id-indexed tables (white-box: each is
+  /// bounded by the largest allocated id, whatever ids callers pass).
+  struct DenseTableSlots {
+    size_t records = 0;     // record-store directory
+    size_t instances = 0;   // object-cache slots
+    size_t edge_stats = 0;  // per-edge scheduling/clustering statistics
+    size_t cc_marks = 0;    // timestamp-ordering marks
+  };
+  DenseTableSlots dense_table_slots() const {
+    return {store_.directory_slots(), cache_.table_slots(),
+            edge_stats_.size(), tsm_.table_slots()};
+  }
+  uint64_t max_instance_id() const { return next_instance_; }
+  uint64_t max_edge_id() const { return next_edge_; }
 
   /// External-change hook used by the environment layer: marks a derived
   /// attribute (by name) of an instance out of date, as if an intrinsic it
@@ -628,7 +651,8 @@ class Database {
   };
 
   // DSTC statistic per instance: accesses per observation period,
-  // decayed. Folded from access_counts_ deltas by FoldUsageStatistics.
+  // decayed. Folded from the object cache's access counts by
+  // FoldUsageStatistics.
   struct AccessDecayEntry {
     sched::DecayingAverage decay;
     uint64_t at_last_fold = 0;
@@ -734,7 +758,20 @@ class Database {
   // Drops the txn's pending-writer marks (first-updater-wins) once its
   // replay order is fixed (commit staged) or moot (rolled back).
   void ReleaseCcWrites(Transaction* t);
+  /// Statistics of an edge id within the id bound (`EdgeInRange`),
+  /// created on first use. Callers pass ids read from stored instances or
+  /// just allocated, so the table never grows past next_edge_.
   EdgeStatEntry& EdgeStatsFor(EdgeId id);
+  bool EdgeInRange(EdgeId id) const {
+    return id.valid() && id.value <= next_edge_;
+  }
+  /// Copy of the statistics, or a fresh entry's defaults for an id past
+  /// the bound; never grows the table (public white-box getters).
+  EdgeStatEntry EdgeStatsOrDefault(EdgeId id) {
+    return EdgeInRange(id) ? EdgeStatsFor(id)
+                           : EdgeStatEntry(options_.decay_alpha,
+                                           options_.cluster_decay_alpha);
+  }
   void RecordCrossing(EdgeId id) {
     ++EdgeStatsFor(id).usage;
     // Cumulative crossing count across all edges: the denominator of the
@@ -800,8 +837,9 @@ class Database {
   std::unordered_map<EdgeId, EdgeInfo> edges_;
   std::unordered_map<ClassId, std::set<InstanceId>> instances_by_class_;
   std::unordered_map<SubtypeId, std::set<InstanceId>> subtype_members_;
-  std::unordered_map<EdgeId, EdgeStatEntry> edge_stats_;
-  std::unordered_map<InstanceId, uint64_t> access_counts_;
+  // Indexed by EdgeId::value; empty until the edge's statistics are
+  // first used (the lazily-created entry, like a map insert).
+  std::vector<std::optional<EdgeStatEntry>> edge_stats_;
   std::unordered_map<InstanceId, AccessDecayEntry> access_decay_;
   ClusterStats cluster_stats_;
   // Lifetime crossings across all edges (exclusive-path only, like the

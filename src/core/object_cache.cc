@@ -4,27 +4,56 @@
 
 namespace cactis::core {
 
-Result<Instance*> ObjectCache::Fetch(InstanceId id) {
-  CACTIS_SERIAL_GUARD(serial_guard_);
-  ++generation_;  // Touch/Get below can fault; prior handles go stale.
-  // Touch first: this may evict another block (dropping its cached
-  // instances) but guarantees our block is resident afterwards.
-  CACTIS_RETURN_IF_ERROR(store_->Touch(id));
-  auto it = cache_.find(id);
-  if (it != cache_.end()) {
-    it->second->set_cache_epoch(generation_);
-    return it->second.get();
-  }
+ObjectCache::Slot& ObjectCache::SlotFor(InstanceId id) {
+  if (id.value >= slots_.size()) slots_.resize(id.value + 1);
+  return slots_[id.value];
+}
 
+const Instance* ObjectCache::CachedCopy(InstanceId id) const {
+  const Slot* slot = SlotOf(id);
+  if (slot == nullptr || slot->inst == nullptr || !store_->Contains(id)) {
+    return nullptr;
+  }
+  return slot->inst.get();
+}
+
+Result<ObjectCache::Slot*> ObjectCache::Touch(InstanceId id) {
+  ++generation_;  // Touch below can fault; prior handles go stale.
+  // This may evict another block (dropping its cached instances) but
+  // guarantees our block is resident afterwards. It also validates the
+  // id: only a stored record gets a slot.
+  CACTIS_RETURN_IF_ERROR(store_->Touch(id));
+  return &SlotFor(id);
+}
+
+Status ObjectCache::Decode(InstanceId id, Slot* slot) {
   CACTIS_ASSIGN_OR_RETURN(std::string payload, store_->Get(id));
   CACTIS_ASSIGN_OR_RETURN(Instance inst,
                           Instance::Deserialize(payload, *catalog_));
-  auto owned = std::make_unique<Instance>(std::move(inst));
-  Instance* raw = owned.get();
-  raw->set_cache_epoch(generation_);
-  cache_[id] = std::move(owned);
-  IndexUnderBlock(id);
-  return raw;
+  slot->cls = inst.class_id();
+  slot->inst = std::make_unique<Instance>(std::move(inst));
+  slot->inst->set_cache_epoch(generation_);
+  return Status::OK();
+}
+
+Result<Instance*> ObjectCache::Fetch(InstanceId id, bool count_access) {
+  CACTIS_SERIAL_GUARD(serial_guard_);
+  CACTIS_ASSIGN_OR_RETURN(Slot * slot, Touch(id));
+  if (slot->inst != nullptr) {
+    slot->inst->set_cache_epoch(generation_);
+  } else {
+    CACTIS_RETURN_IF_ERROR(Decode(id, slot));
+  }
+  if (count_access) ++slot->accesses;
+  return slot->inst.get();
+}
+
+Result<ClassId> ObjectCache::ClassOf(InstanceId id) {
+  CACTIS_SERIAL_GUARD(serial_guard_);
+  CACTIS_ASSIGN_OR_RETURN(Slot * slot, Touch(id));
+  // A record stored behind the cache's back has no class yet.
+  if (!slot->cls.valid()) CACTIS_RETURN_IF_ERROR(Decode(id, slot));
+  return slot->cls;
 }
 
 Status ObjectCache::WriteThrough(const Instance& inst) {
@@ -33,19 +62,18 @@ Status ObjectCache::WriteThrough(const Instance& inst) {
   // pointer across a faulting operation — exactly the bug the pointer
   // discipline forbids. (An uncached `inst`, e.g. a caller-owned copy
   // being flushed, is exempt: its lifetime is the caller's business.)
-  assert(!IsCached(inst.id()) || cache_.find(inst.id())->second.get() != &inst ||
-         IsFresh(&inst));
+  assert(CachedCopy(inst.id()) != &inst || IsFresh(&inst));
   ++generation_;  // Put below can fault; prior handles go stale.
   std::string payload = inst.Serialize();
   InstanceId id = inst.id();
-  // NOTE: `inst` may be *the cached copy*; Put can evict or discard
-  // blocks, and loss of our own block would destroy it mid-call.
-  // Serialising first (above) makes that safe; we must not touch `inst`
-  // after Put.
+  // NOTE: `inst` may be *the cached copy*. Put only ever drops the
+  // copies of records listed in an evicted block image, and this record
+  // is being written (it is in no image mid-move, and its block is
+  // resident otherwise), but we still do not touch `inst` after Put.
   CACTIS_RETURN_IF_ERROR(store_->Put(id, std::move(payload)));
-  IndexUnderBlock(id);  // the record may have moved to a new block
-  auto it = cache_.find(id);
-  if (it != cache_.end()) it->second->set_cache_epoch(generation_);
+  if (Slot* slot = SlotOf(id); slot != nullptr && slot->inst != nullptr) {
+    slot->inst->set_cache_epoch(generation_);
+  }
   return Status::OK();
 }
 
@@ -59,15 +87,15 @@ Status ObjectCache::Insert(Instance inst) {
   CACTIS_RETURN_IF_ERROR(store_->Put(id, std::move(payload)));
   // Put may have evicted blocks but cannot have evicted this instance's
   // (it was just fetched by Put). Cache the decoded copy.
-  cache_[id] = std::move(owned);
-  IndexUnderBlock(id);
+  Slot& slot = SlotFor(id);
+  slot.cls = owned->class_id();
+  slot.inst = std::move(owned);
   return Status::OK();
 }
 
 const Instance* ObjectCache::PeekCached(InstanceId id) const {
   CACTIS_SHARED_GUARD(serial_guard_);
-  auto it = cache_.find(id);
-  return it == cache_.end() ? nullptr : it->second.get();
+  return CachedCopy(id);
 }
 
 void ObjectCache::NoteSharedTouch(InstanceId id) {
@@ -77,12 +105,14 @@ void ObjectCache::NoteSharedTouch(InstanceId id) {
   if (shard.touches.size() < kTouchShardCapacity) shard.touches.push_back(id);
 }
 
-void ObjectCache::DrainTouches(
-    std::unordered_map<InstanceId, uint64_t>* counts) {
+void ObjectCache::DrainTouches() {
   CACTIS_SERIAL_GUARD(serial_guard_);
   for (TouchShard& shard : touch_shards_) {
     std::lock_guard<std::mutex> lk(shard.mu);
-    for (InstanceId id : shard.touches) ++(*counts)[id];
+    for (InstanceId id : shard.touches) {
+      Slot* slot = SlotOf(id);
+      if (slot != nullptr && store_->Contains(id)) ++slot->accesses;
+    }
     shard.touches.clear();
   }
 }
@@ -90,41 +120,20 @@ void ObjectCache::DrainTouches(
 Status ObjectCache::Remove(InstanceId id) {
   CACTIS_SERIAL_GUARD(serial_guard_);
   ++generation_;  // Delete below can fault; prior handles go stale.
-  auto blk = block_of_.find(id);
-  if (blk != block_of_.end()) {
-    auto set = by_block_.find(blk->second);
-    if (set != by_block_.end()) set->second.erase(id);
-    block_of_.erase(blk);
-  }
-  cache_.erase(id);
+  if (Slot* slot = SlotOf(id); slot != nullptr) *slot = Slot();
   return store_->Delete(id);
 }
 
-void ObjectCache::OnBlockEvicted(BlockId id) {
+void ObjectCache::OnBlockEvicted(BlockId /*id*/,
+                                 const storage::BlockImage& image) {
   // Covers both pool evictions (mid-faulting-operation) and discards of
   // freed/relocated blocks arriving from record-store maintenance: any
   // outstanding handle may now dangle, so all of them go stale.
   ++generation_;
-  auto it = by_block_.find(id);
-  if (it == by_block_.end()) return;
-  for (InstanceId inst : it->second) {
-    cache_.erase(inst);
-    block_of_.erase(inst);
+  for (const auto& [id, payload] : image.records()) {
+    (void)payload;
+    if (Slot* slot = SlotOf(id); slot != nullptr) slot->inst.reset();
   }
-  by_block_.erase(it);
-}
-
-void ObjectCache::IndexUnderBlock(InstanceId id) {
-  auto block = store_->BlockOf(id);
-  if (!block.ok()) return;
-  auto prev = block_of_.find(id);
-  if (prev != block_of_.end()) {
-    if (prev->second == *block) return;
-    auto set = by_block_.find(prev->second);
-    if (set != by_block_.end()) set->second.erase(id);
-  }
-  block_of_[id] = *block;
-  by_block_[*block].insert(id);
 }
 
 }  // namespace cactis::core

@@ -6,6 +6,16 @@
 // back into the record store immediately — so a dropped copy is never
 // newer than its record.
 //
+// STORAGE: one slot per instance in a dense table indexed by instance id
+// (ids are allocated densely). A slot holds the decoded copy (null when
+// not cached), the instance's class (kept across eviction, so a class
+// lookup needs no decode) and its access count (the clustering input).
+// The block an instance lives in is not copied here: the record store's
+// directory is the only placement map, and on eviction the cache drops
+// exactly the records the departing block image lists. The table grows
+// only once the record store has confirmed the id, and only on exclusive
+// operations; a lookup past its end is a miss.
+//
 // POINTER DISCIPLINE: a Fetch()ed Instance* is valid only until the next
 // operation that can fault a block in (another Fetch, a Write, any
 // record-store access). Callers copy what they need and re-fetch.
@@ -31,8 +41,6 @@
 
 #include <memory>
 #include <mutex>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/thread_guard.h"
@@ -49,7 +57,13 @@ class ObjectCache : public storage::ResidencyListener {
       : catalog_(catalog), store_(store) {}
 
   /// Returns the decoded instance, faulting its block in if needed.
-  Result<Instance*> Fetch(InstanceId id);
+  /// `count_access` adds one to the instance's access count.
+  Result<Instance*> Fetch(InstanceId id, bool count_access = false);
+
+  /// The class of `id`, touching its block exactly as Fetch does (same
+  /// I/O and LRU effect) but without decoding the record when the class
+  /// is already known.
+  Result<ClassId> ClassOf(InstanceId id);
 
   /// Serialises `inst` and writes it through to the record store (the
   /// record may move blocks if it grew). `inst` may be the cached copy.
@@ -72,11 +86,23 @@ class ObjectCache : public storage::ResidencyListener {
   /// accounting. Lock-striped; drops the touch if its shard is full.
   void NoteSharedTouch(InstanceId id);
 
-  /// Drains all deferred touches, adding one count per touch into
-  /// `counts`. Exclusive-lock only (the reorganizer).
-  void DrainTouches(std::unordered_map<InstanceId, uint64_t>* counts);
+  /// Drains all deferred touches, adding one to the access count of each
+  /// touched instance that still exists. Exclusive-lock only (the
+  /// reorganizer).
+  void DrainTouches();
 
-  bool IsCached(InstanceId id) const { return cache_.contains(id); }
+  /// Accesses counted by Fetch and DrainTouches since the instance was
+  /// created (0 for an unknown id).
+  uint64_t access_count(InstanceId id) const {
+    const Slot* slot = SlotOf(id);
+    return slot == nullptr ? 0 : slot->accesses;
+  }
+
+  bool IsCached(InstanceId id) const { return CachedCopy(id) != nullptr; }
+
+  /// Slots in the dense instance table (white-box: an unknown id must
+  /// not grow it).
+  size_t table_slots() const { return slots_.size(); }
 
   /// Current cache generation; bumped by every operation that can fault
   /// a block (Fetch, WriteThrough, Insert, Remove, block eviction).
@@ -91,10 +117,30 @@ class ObjectCache : public storage::ResidencyListener {
 
   // storage::ResidencyListener:
   void OnBlockLoaded(BlockId /*id*/) override {}
-  void OnBlockEvicted(BlockId id) override;
+  void OnBlockEvicted(BlockId id, const storage::BlockImage& image) override;
 
  private:
-  void IndexUnderBlock(InstanceId id);
+  struct Slot {
+    std::unique_ptr<Instance> inst;  // decoded copy; null when not cached
+    ClassId cls;                     // invalid until first stored/decoded
+    uint64_t accesses = 0;
+  };
+
+  const Slot* SlotOf(InstanceId id) const {
+    return id.value < slots_.size() ? &slots_[id.value] : nullptr;
+  }
+  Slot* SlotOf(InstanceId id) {
+    return id.value < slots_.size() ? &slots_[id.value] : nullptr;
+  }
+  /// The slot of an id the record store holds, growing the table to it.
+  Slot& SlotFor(InstanceId id);
+  /// The decoded copy, if cached and its record still exists (a record
+  /// deleted behind the cache's back is never served).
+  const Instance* CachedCopy(InstanceId id) const;
+  /// Generation bump + block touch + slot, shared by Fetch and ClassOf.
+  Result<Slot*> Touch(InstanceId id);
+  /// Decodes `id`'s record into `slot`.
+  Status Decode(InstanceId id, Slot* slot);
 
   static constexpr size_t kTouchShards = 8;
   static constexpr size_t kTouchShardCapacity = 4096;
@@ -108,9 +154,8 @@ class ObjectCache : public storage::ResidencyListener {
   storage::RecordStore* store_;
   mutable ThreadSharedGuard serial_guard_;
   uint64_t generation_ = 0;
-  std::unordered_map<InstanceId, std::unique_ptr<Instance>> cache_;
-  std::unordered_map<BlockId, std::unordered_set<InstanceId>> by_block_;
-  std::unordered_map<InstanceId, BlockId> block_of_;
+  // Indexed by InstanceId::value.
+  std::vector<Slot> slots_;
   mutable TouchShard touch_shards_[kTouchShards];
 };
 

@@ -95,7 +95,8 @@ class ChunkScheduler : public storage::ResidencyListener {
 
   // storage::ResidencyListener:
   void OnBlockLoaded(BlockId id) override;
-  void OnBlockEvicted(BlockId /*id*/) override {}
+  void OnBlockEvicted(BlockId /*id*/,
+                      const storage::BlockImage& /*image*/) override {}
 
   const SchedulerStats& stats() const { return stats_; }
   void ResetStats() { stats_ = SchedulerStats{}; }

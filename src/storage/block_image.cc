@@ -1,13 +1,39 @@
 #include "storage/block_image.h"
 
+#include <algorithm>
+
 #include "common/serial.h"
 
 namespace cactis::storage {
 
+namespace {
+
+bool IdBelow(const BlockImage::Record& r, InstanceId id) {
+  return r.first < id;
+}
+
+}  // namespace
+
+std::vector<BlockImage::Record>::iterator BlockImage::LowerBound(
+    InstanceId id) {
+  return std::lower_bound(records_.begin(), records_.end(), id, IdBelow);
+}
+
+std::vector<BlockImage::Record>::const_iterator BlockImage::LowerBound(
+    InstanceId id) const {
+  return std::lower_bound(records_.begin(), records_.end(), id, IdBelow);
+}
+
+std::vector<BlockImage::Record>::const_iterator BlockImage::Find(
+    InstanceId id) const {
+  auto it = LowerBound(id);
+  return it != records_.end() && it->first == id ? it : records_.end();
+}
+
 bool BlockImage::Fits(InstanceId id, size_t payload_size,
                       size_t capacity) const {
   size_t used = bytes_used_;
-  auto it = records_.find(id);
+  auto it = Find(id);
   if (it != records_.end()) {
     used -= it->second.size() + kRecordOverheadBytes;
   }
@@ -16,19 +42,37 @@ bool BlockImage::Fits(InstanceId id, size_t payload_size,
 }
 
 void BlockImage::Put(InstanceId id, std::string payload) {
-  auto it = records_.find(id);
-  if (it != records_.end()) {
+  auto it = LowerBound(id);
+  if (it != records_.end() && it->first == id) {
     bytes_used_ -= it->second.size() + kRecordOverheadBytes;
     it->second = std::move(payload);
     bytes_used_ += it->second.size() + kRecordOverheadBytes;
     return;
   }
   bytes_used_ += payload.size() + kRecordOverheadBytes;
-  records_.emplace(id, std::move(payload));
+  records_.emplace(it, id, std::move(payload));
+}
+
+bool BlockImage::PutIfFits(InstanceId id, std::string* payload,
+                           size_t capacity) {
+  auto it = LowerBound(id);
+  const bool present = it != records_.end() && it->first == id;
+  const size_t freed = present ? it->second.size() + kRecordOverheadBytes : 0;
+  const size_t needed = payload->size() + kRecordOverheadBytes;
+  if (kBlockHeaderBytes + bytes_used_ - freed + needed > capacity) {
+    return false;
+  }
+  bytes_used_ = bytes_used_ - freed + needed;
+  if (present) {
+    it->second = std::move(*payload);
+  } else {
+    records_.emplace(it, id, std::move(*payload));
+  }
+  return true;
 }
 
 Result<std::string> BlockImage::Get(InstanceId id) const {
-  auto it = records_.find(id);
+  auto it = Find(id);
   if (it == records_.end()) {
     return Status::NotFound("no record for instance " +
                             std::to_string(id.value) + " in block");
@@ -37,8 +81,8 @@ Result<std::string> BlockImage::Get(InstanceId id) const {
 }
 
 Status BlockImage::Erase(InstanceId id) {
-  auto it = records_.find(id);
-  if (it == records_.end()) {
+  auto it = LowerBound(id);
+  if (it == records_.end() || it->first != id) {
     return Status::NotFound("no record for instance " +
                             std::to_string(id.value) + " in block");
   }

@@ -67,14 +67,17 @@ Status BufferPool::EvictOne() {
   assert(it != frames_.end());
   const bool was_dirty = it->second.dirty;
   CACTIS_RETURN_IF_ERROR(WriteBack(victim, &it->second));
-  lru_.pop_back();
-  frames_.erase(it);
   ++stats_.evictions;
   if (trace_) {
     trace_->Record(obs::SpanKind::kBlockEvict, victim.value,
                    was_dirty ? 1 : 0);
   }
-  for (ResidencyListener* l : listeners_) l->OnBlockEvicted(victim);
+  // Listeners see the image before the frame goes away.
+  for (ResidencyListener* l : listeners_) {
+    l->OnBlockEvicted(victim, it->second.image);
+  }
+  lru_.pop_back();
+  frames_.erase(it);
   return Status::OK();
 }
 
@@ -125,13 +128,15 @@ Status BufferPool::FlushAll() {
 void BufferPool::Discard(BlockId id) {
   auto it = frames_.find(id);
   if (it == frames_.end()) return;
-  lru_.erase(it->second.lru_pos);
-  frames_.erase(it);
   ++stats_.discards;
   if (trace_) trace_->Record(obs::SpanKind::kBlockDiscard, id.value);
-  // The block left memory; listeners must treat this exactly like an
+  // The block leaves memory; listeners must treat this exactly like an
   // eviction or they keep decoded state for records that no longer exist.
-  for (ResidencyListener* l : listeners_) l->OnBlockEvicted(id);
+  for (ResidencyListener* l : listeners_) {
+    l->OnBlockEvicted(id, it->second.image);
+  }
+  lru_.erase(it->second.lru_pos);
+  frames_.erase(it);
 }
 
 }  // namespace cactis::storage

@@ -36,8 +36,10 @@ class ResidencyListener {
   virtual ~ResidencyListener() = default;
   /// The block has just been read from disk into the pool.
   virtual void OnBlockLoaded(BlockId id) = 0;
-  /// The block is about to leave the pool (already flushed if dirty).
-  virtual void OnBlockEvicted(BlockId id) = 0;
+  /// The block is about to leave the pool (already flushed if dirty, or
+  /// discarded). `image` is its last in-memory content, still intact:
+  /// caches of decoded records drop exactly the records it lists.
+  virtual void OnBlockEvicted(BlockId id, const BlockImage& image) = 0;
 };
 
 struct BufferPoolStats {

@@ -15,13 +15,10 @@ Status RecordStore::Put(InstanceId id, std::string payload) {
                               std::to_string(payload.size()) + " bytes");
   }
 
-  auto dir = directory_.find(id);
-  if (dir != directory_.end()) {
+  if (BlockId block = BlockSlot(id); block.valid()) {
     // Update in place when it still fits, else move.
-    BlockId block = dir->second;
     CACTIS_ASSIGN_OR_RETURN(BlockImage * image, pool_->Fetch(block));
-    if (image->Fits(id, payload.size(), pool_->usable_block_bytes())) {
-      image->Put(id, std::move(payload));
+    if (image->PutIfFits(id, &payload, pool_->usable_block_bytes())) {
       return pool_->MarkDirty(block);
     }
     CACTIS_RETURN_IF_ERROR(Delete(id));
@@ -42,45 +39,46 @@ Status RecordStore::Put(InstanceId id, std::string payload) {
 Status RecordStore::PutIntoBlock(InstanceId id, std::string payload,
                                  BlockId block) {
   CACTIS_ASSIGN_OR_RETURN(BlockImage * image, pool_->Fetch(block));
-  if (!image->Fits(id, payload.size(), pool_->usable_block_bytes())) {
+  if (!image->PutIfFits(id, &payload, pool_->usable_block_bytes())) {
     return Status::Internal("PutIntoBlock target does not fit");
   }
-  image->Put(id, std::move(payload));
-  directory_[id] = block;
+  if (id.value >= directory_.size()) directory_.resize(id.value + 1);
+  directory_[id.value] = block;
+  ++record_count_;
   ++block_population_[block];
   return pool_->MarkDirty(block);
 }
 
+namespace {
+
+Status NoRecord(InstanceId id) {
+  return Status::NotFound("no record for instance " +
+                          std::to_string(id.value));
+}
+
+}  // namespace
+
 Result<std::string> RecordStore::Get(InstanceId id) {
-  auto dir = directory_.find(id);
-  if (dir == directory_.end()) {
-    return Status::NotFound("no record for instance " +
-                            std::to_string(id.value));
-  }
-  CACTIS_ASSIGN_OR_RETURN(BlockImage * image, pool_->Fetch(dir->second));
+  BlockId block = BlockSlot(id);
+  if (!block.valid()) return NoRecord(id);
+  CACTIS_ASSIGN_OR_RETURN(BlockImage * image, pool_->Fetch(block));
   return image->Get(id);
 }
 
 Status RecordStore::Touch(InstanceId id) {
-  auto dir = directory_.find(id);
-  if (dir == directory_.end()) {
-    return Status::NotFound("no record for instance " +
-                            std::to_string(id.value));
-  }
-  return pool_->Fetch(dir->second).status();
+  BlockId block = BlockSlot(id);
+  if (!block.valid()) return NoRecord(id);
+  return pool_->Fetch(block).status();
 }
 
 Status RecordStore::Delete(InstanceId id) {
-  auto dir = directory_.find(id);
-  if (dir == directory_.end()) {
-    return Status::NotFound("no record for instance " +
-                            std::to_string(id.value));
-  }
-  BlockId block = dir->second;
+  BlockId block = BlockSlot(id);
+  if (!block.valid()) return NoRecord(id);
   CACTIS_ASSIGN_OR_RETURN(BlockImage * image, pool_->Fetch(block));
   CACTIS_RETURN_IF_ERROR(image->Erase(id));
   CACTIS_RETURN_IF_ERROR(pool_->MarkDirty(block));
-  directory_.erase(dir);
+  directory_[id.value] = BlockId();
+  --record_count_;
   auto pop = block_population_.find(block);
   if (pop != block_population_.end() && --pop->second == 0) {
     block_population_.erase(pop);
@@ -92,18 +90,14 @@ Status RecordStore::Delete(InstanceId id) {
 }
 
 Result<BlockId> RecordStore::BlockOf(InstanceId id) const {
-  auto dir = directory_.find(id);
-  if (dir == directory_.end()) {
-    return Status::NotFound("no record for instance " +
-                            std::to_string(id.value));
-  }
-  return dir->second;
+  BlockId block = BlockSlot(id);
+  if (!block.valid()) return NoRecord(id);
+  return block;
 }
 
 bool RecordStore::IsInstanceResident(InstanceId id) const {
-  auto dir = directory_.find(id);
-  if (dir == directory_.end()) return false;
-  return pool_->IsResident(dir->second);
+  BlockId block = BlockSlot(id);
+  return block.valid() && pool_->IsResident(block);
 }
 
 Status RecordStore::ApplyPlacement(
@@ -117,7 +111,7 @@ Status RecordStore::ApplyPlacement(
     CACTIS_ASSIGN_OR_RETURN(std::string payload, Get(id));
     payloads.emplace_back(id, std::move(payload));
   }
-  if (payloads.size() != directory_.size()) {
+  if (payloads.size() != record_count_) {
     return Status::InvalidArgument(
         "placement must cover every stored instance exactly once");
   }
@@ -129,7 +123,8 @@ Status RecordStore::ApplyPlacement(
     (void)pop;
     old_blocks.push_back(block);
   }
-  directory_.clear();
+  std::fill(directory_.begin(), directory_.end(), BlockId());
+  record_count_ = 0;
   block_population_.clear();
   fill_block_ = BlockId();
   for (BlockId block : old_blocks) {
@@ -161,13 +156,12 @@ Status RecordStore::ApplyPlacement(
 }
 
 std::vector<InstanceId> RecordStore::AllInstances() const {
+  // Index order is id order: no sort needed.
   std::vector<InstanceId> out;
-  out.reserve(directory_.size());
-  for (const auto& [id, block] : directory_) {
-    (void)block;
-    out.push_back(id);
+  out.reserve(record_count_);
+  for (uint64_t v = 0; v < directory_.size(); ++v) {
+    if (directory_[v].valid()) out.push_back(InstanceId(v));
   }
-  std::sort(out.begin(), out.end());
   return out;
 }
 

@@ -4,12 +4,19 @@
 // first-fit placement of new records, growth-driven relocation, and the
 // bulk relocation API used by the clustering reorganizer (paper 2.3).
 // All data access goes through the buffer pool so I/O is counted.
+//
+// The directory is a dense table indexed by instance id: ids are
+// allocated densely from 1, so a lookup is one bounds check and one
+// index, never a hash. It grows only when a new record is stored (an id
+// the database has just allocated or replayed); looking up an id past its
+// end, however large, is a plain miss and allocates nothing.
 
 #ifndef CACTIS_STORAGE_RECORD_STORE_H_
 #define CACTIS_STORAGE_RECORD_STORE_H_
 
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/ids.h"
@@ -41,7 +48,7 @@ class RecordStore {
   /// Removes the record; frees the block when it becomes empty.
   Status Delete(InstanceId id);
 
-  bool Contains(InstanceId id) const { return directory_.contains(id); }
+  bool Contains(InstanceId id) const { return BlockSlot(id).valid(); }
 
   /// Placement lookup without I/O.
   Result<BlockId> BlockOf(InstanceId id) const;
@@ -57,7 +64,10 @@ class RecordStore {
       const std::vector<std::pair<InstanceId, int>>& placement);
 
   std::vector<InstanceId> AllInstances() const;
-  size_t record_count() const { return directory_.size(); }
+  size_t record_count() const { return record_count_; }
+  /// Slots in the dense directory (white-box: an unknown id must not
+  /// grow it).
+  size_t directory_slots() const { return directory_.size(); }
   /// Blocks currently holding at least one record (fill-factor metric).
   size_t block_count() const { return block_population_.size(); }
 
@@ -65,9 +75,16 @@ class RecordStore {
   /// Writes `payload` into `block` (must fit), updating the directory.
   Status PutIntoBlock(InstanceId id, std::string payload, BlockId block);
 
+  /// The block holding `id`, or an invalid BlockId when it has no record.
+  BlockId BlockSlot(InstanceId id) const {
+    return id.value < directory_.size() ? directory_[id.value] : BlockId();
+  }
+
   SimulatedDisk* disk_;
   BufferPool* pool_;
-  std::unordered_map<InstanceId, BlockId> directory_;
+  // Indexed by InstanceId::value; an invalid BlockId marks "no record".
+  std::vector<BlockId> directory_;
+  size_t record_count_ = 0;
   std::unordered_map<BlockId, size_t> block_population_;
   BlockId fill_block_;  // invalid until first Put
 };

@@ -4,7 +4,7 @@ namespace cactis::txn {
 
 Status TimestampManager::CheckRead(InstanceId id, uint64_t ts) {
   stats_.reads_checked.fetch_add(1, std::memory_order_relaxed);
-  Marks& m = marks_[id];
+  Marks& m = Entry(id);
   if (ts < m.write_ts.load(std::memory_order_relaxed)) {
     stats_.read_rejections.fetch_add(1, std::memory_order_relaxed);
     return Status::Conflict(
@@ -21,9 +21,10 @@ Status TimestampManager::CheckRead(InstanceId id, uint64_t ts) {
 }
 
 SharedReadCheck TimestampManager::CheckReadShared(InstanceId id, uint64_t ts) {
-  auto it = marks_.find(id);
-  if (it == marks_.end()) return SharedReadCheck::kUnknownInstance;
-  Marks& m = it->second;
+  if (id.value >= marks_.size() || !marks_[id.value].known) {
+    return SharedReadCheck::kUnknownInstance;
+  }
+  Marks& m = marks_[id.value];
   if (ts < m.write_ts.load(std::memory_order_relaxed)) {
     // The exclusive fallback re-runs CheckRead and counts the rejection.
     return SharedReadCheck::kConflict;
@@ -42,7 +43,7 @@ SharedReadCheck TimestampManager::CheckReadShared(InstanceId id, uint64_t ts) {
 Status TimestampManager::CheckWrite(InstanceId id, uint64_t ts,
                                     uint64_t txn) {
   stats_.writes_checked.fetch_add(1, std::memory_order_relaxed);
-  Marks& m = marks_[id];
+  Marks& m = Entry(id);
   if (m.pending_txn != 0 && m.pending_txn != txn) {
     // First-updater-wins: another transaction wrote this instance and has
     // not staged or rolled back yet. Admitting a second writer now could
@@ -71,9 +72,8 @@ Status TimestampManager::CheckWrite(InstanceId id, uint64_t ts,
 }
 
 void TimestampManager::ReleaseWrite(InstanceId id, uint64_t txn) {
-  auto it = marks_.find(id);
-  if (it != marks_.end() && it->second.pending_txn == txn) {
-    it->second.pending_txn = 0;
+  if (id.value < marks_.size() && marks_[id.value].pending_txn == txn) {
+    marks_[id.value].pending_txn = 0;
   }
 }
 

@@ -32,16 +32,21 @@
 // a timestamp an unrecorded reader already observed past. The marks are
 // therefore atomics: CheckReadShared raises read_ts with a CAS-max loop
 // and is safe from any number of concurrent reader threads, while the
-// map's shape (insert/erase) is only ever changed under the exclusive
-// lock (CheckRead, Ensure, Forget). Stats counters are atomics for the
-// same reason.
+// table's shape (growth, an entry becoming known or forgotten) is only
+// ever changed under the exclusive lock (CheckRead, CheckWrite, Ensure,
+// Forget). Stats counters are atomics for the same reason.
+//
+// The marks live in a dense table indexed by instance id. Exclusive
+// callers pass only ids of instances that exist (the database validates
+// before checking), so the table never grows past the largest allocated
+// id; the shared path never grows it at all.
 
 #ifndef CACTIS_TXN_TIMESTAMP_CC_H_
 #define CACTIS_TXN_TIMESTAMP_CC_H_
 
 #include <atomic>
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "common/clock.h"
 #include "common/ids.h"
@@ -85,18 +90,19 @@ class TimestampManager {
 
   /// Validates and records a read of `id` by a transaction with timestamp
   /// `ts`. Conflict means the transaction must abort. Exclusive-lock only
-  /// (may insert a marks entry).
+  /// (may create the marks entry; `id` must name an existing instance).
   Status CheckRead(InstanceId id, uint64_t ts);
 
   /// Lock-free read check for the shared statement path: never changes
-  /// the map's shape, raises read_ts with an atomic max. On kConflict the
+  /// the table's shape, raises read_ts with an atomic max. On kConflict the
   /// caller is expected to retry under the exclusive lock (which recounts
   /// the stats), so only kOk is counted here.
   SharedReadCheck CheckReadShared(InstanceId id, uint64_t ts);
 
   /// Validates and records a write by transaction `txn` (first-updater-
   /// wins: rejects while another open, unstaged transaction holds a
-  /// pending write on `id`). Exclusive-lock only.
+  /// pending write on `id`). Exclusive-lock only; like CheckRead, `id`
+  /// must name an existing instance.
   Status CheckWrite(InstanceId id, uint64_t ts, uint64_t txn);
 
   /// Drops `txn`'s pending-writer mark on `id`, admitting later writers.
@@ -106,10 +112,16 @@ class TimestampManager {
 
   /// Ensures `id` has a marks entry so the shared read path never misses
   /// it. Called at instance creation, under the exclusive lock.
-  void Ensure(InstanceId id) { marks_.try_emplace(id); }
+  void Ensure(InstanceId id) { Entry(id); }
 
   /// Forgets an instance (deleted). Exclusive-lock only.
-  void Forget(InstanceId id) { marks_.erase(id); }
+  void Forget(InstanceId id) {
+    if (id.value < marks_.size()) marks_[id.value] = Marks();
+  }
+
+  /// Slots in the dense marks table (white-box: bounded by the largest
+  /// instance id ever checked).
+  size_t table_slots() const { return marks_.size(); }
 
   const ConcurrencyStats& stats() const { return stats_; }
   void ResetStats() {
@@ -126,13 +138,45 @@ class TimestampManager {
     std::atomic<uint64_t> write_ts{0};
     // Transaction currently holding an unstaged write on this instance
     // (0 = none). Only touched under the exclusive statement lock, like
-    // the map's shape, so a plain field suffices; the shared read path
+    // the table's shape, so a plain field suffices; the shared read path
     // never looks at it.
     uint64_t pending_txn = 0;
+    // Whether the entry exists (a slot below the table's end may belong
+    // to an id never checked or since forgotten).
+    bool known = false;
+
+    Marks() = default;
+    // Moves and assignments happen only when the table grows or an
+    // entry is reset, both under the exclusive lock with no reader
+    // running, so plain loads and stores of the atomics suffice.
+    Marks(Marks&& o) noexcept
+        : read_ts(o.read_ts.load(std::memory_order_relaxed)),
+          write_ts(o.write_ts.load(std::memory_order_relaxed)),
+          pending_txn(o.pending_txn),
+          known(o.known) {}
+    Marks& operator=(Marks&& o) noexcept {
+      read_ts.store(o.read_ts.load(std::memory_order_relaxed),
+                    std::memory_order_relaxed);
+      write_ts.store(o.write_ts.load(std::memory_order_relaxed),
+                     std::memory_order_relaxed);
+      pending_txn = o.pending_txn;
+      known = o.known;
+      return *this;
+    }
   };
 
+  /// The entry for `id`, created (and the table grown) if needed.
+  /// Exclusive-lock only.
+  Marks& Entry(InstanceId id) {
+    if (id.value >= marks_.size()) marks_.resize(id.value + 1);
+    Marks& m = marks_[id.value];
+    m.known = true;
+    return m;
+  }
+
   LogicalClock clock_;
-  std::unordered_map<InstanceId, Marks> marks_;
+  // Indexed by InstanceId::value.
+  std::vector<Marks> marks_;
   ConcurrencyStats stats_;
 };
 

@@ -159,6 +159,29 @@ TEST(CrashRecoveryTest, RecoverRebuildsFromCleanPlatter) {
   EXPECT_EQ(Snapshot(&recovered), Snapshot(&crashed));
 }
 
+// Replay creates instances and edges with forced ids (undo, redo and
+// WAL replay all do). The dense id-indexed tables may grow to those ids,
+// but never past the allocation bound the replay raises.
+TEST(CrashRecoveryTest, ForcedIdReplayKeepsDenseTablesWithinIdBound) {
+  Database crashed(SmallOptions());
+  ASSERT_TRUE(crashed.LoadSchema(kSchema).ok());
+  for (auto& step : WorkloadSteps()) ASSERT_TRUE(step(crashed).ok());
+
+  Database recovered(SmallOptions());
+  ASSERT_TRUE(recovered.LoadSchema(kSchema).ok());
+  ASSERT_TRUE(recovered.Recover(*crashed.disk()).ok());
+  for (const Database* db : {&crashed, &recovered}) {
+    const Database::DenseTableSlots slots = db->dense_table_slots();
+    EXPECT_LE(slots.records, db->max_instance_id() + 1);
+    EXPECT_LE(slots.instances, db->max_instance_id() + 1);
+    EXPECT_LE(slots.cc_marks, db->max_instance_id() + 1);
+    EXPECT_LE(slots.edge_stats, db->max_edge_id() + 1);
+  }
+  // Replay raised the bounds to exactly what the original allocated.
+  EXPECT_EQ(recovered.max_instance_id(), crashed.max_instance_id());
+  EXPECT_EQ(recovered.max_edge_id(), crashed.max_edge_id());
+}
+
 TEST(CrashRecoveryTest, RecoveryIsIdempotent) {
   // Recover a recovered database: the state must be a fixed point.
   Database original(SmallOptions());

@@ -221,20 +221,29 @@ TEST(EvalPolicyTest, AllPoliciesComputeTheSameValues) {
         sched::SchedulingPolicy::kBreadthFirst}) {
     DatabaseOptions opts;
     opts.policy = policy;
-    opts.buffer_capacity = 2;  // force eviction churn
+    // Small blocks and a 2-block pool: the chain spans many times the
+    // pool, so evaluation faults blocks in and evicts decoded instances.
+    opts.buffer_capacity = 2;
+    opts.block_size = 256;
     Database db(opts);
     ASSERT_TRUE(db.LoadSchema(kChainSchema).ok());
+    constexpr int kCells = 60;
     std::vector<InstanceId> ids;
-    for (int i = 0; i < 30; ++i) {
+    for (int i = 0; i < kCells; ++i) {
       ids.push_back(*db.Create("cell"));
       ASSERT_TRUE(db.Set(ids[i], "base", Value::Int(i)).ok());
       if (i > 0) {
         ASSERT_TRUE(db.Connect(ids[i], "prev", ids[i - 1], "next").ok());
       }
     }
+    db.ResetStats();
     auto v = db.Get(ids.back(), "acc");
     ASSERT_TRUE(v.ok()) << v.status();
-    EXPECT_EQ(*v, Value::Int(29 * 30 / 2))
+    EXPECT_EQ(*v, Value::Int((kCells - 1) * kCells / 2))
+        << sched::SchedulingPolicyToString(policy);
+    EXPECT_GT(db.disk_stats().reads, 0u)
+        << sched::SchedulingPolicyToString(policy);
+    EXPECT_GT(db.buffer_stats().evictions, 0u)
         << sched::SchedulingPolicyToString(policy);
   }
 }

@@ -39,7 +39,8 @@ class RecordingListener : public storage::ResidencyListener {
   void OnBlockLoaded(BlockId id) override {
     events.push_back("load " + std::to_string(id.value));
   }
-  void OnBlockEvicted(BlockId id) override {
+  void OnBlockEvicted(BlockId id,
+                      const storage::BlockImage& /*image*/) override {
     events.push_back("evict " + std::to_string(id.value));
   }
   std::vector<std::string> events;
@@ -243,6 +244,51 @@ TEST(PointerDisciplineTest, BlockEvictionStalesHandlesOnOtherBlocks) {
   EXPECT_FALSE(cache.IsFresh(*h));
   EXPECT_FALSE(cache.IsCached(far));
   EXPECT_TRUE(cache.IsCached(first));
+}
+
+// The cache learns which decoded copies to drop from the departing block
+// image itself. A record that outgrows its block moves to another, and
+// its copy must follow it: kept when the old block leaves, dropped when
+// the new one does.
+TEST(ResidencyListenerTest, MovedRecordsCopyLeavesWithItsNewBlock) {
+  storage::SimulatedDisk disk(256);
+  storage::BufferPool pool(&disk, 8);
+  storage::RecordStore store(&disk, &pool);
+  schema::Catalog catalog;
+  ASSERT_TRUE(schema::LoadSchema(&catalog, kCellSchema).ok());
+  const schema::ObjectClass* cls = catalog.FindClass("cell");
+  ASSERT_NE(cls, nullptr);
+  core::ObjectCache cache(&catalog, &store);
+  pool.AddListener(&cache);
+
+  InstanceId mover(1), stayer(2);
+  ASSERT_TRUE(cache.Insert(core::Instance::Create(mover, *cls)).ok());
+  ASSERT_TRUE(cache.Insert(core::Instance::Create(stayer, *cls)).ok());
+  const BlockId old_block = *store.BlockOf(mover);
+  ASSERT_EQ(*store.BlockOf(stayer), old_block);
+
+  // Grow the record past what its block has left (the cache stores any
+  // value; only the size matters here).
+  auto inst = cache.Fetch(mover);
+  ASSERT_TRUE(inst.ok());
+  (*inst)->attrs()[0].value = Value::String(std::string(220, 'x'));
+  ASSERT_TRUE(cache.WriteThrough(**inst).ok());
+  const BlockId new_block = *store.BlockOf(mover);
+  ASSERT_NE(new_block, old_block) << "test premise: the record moved";
+  EXPECT_TRUE(cache.IsCached(mover));
+
+  ASSERT_TRUE(pool.FlushAll().ok());
+  pool.Discard(old_block);
+  EXPECT_TRUE(cache.IsCached(mover));
+  EXPECT_FALSE(cache.IsCached(stayer));
+  pool.Discard(new_block);
+  EXPECT_FALSE(cache.IsCached(mover));
+
+  // Both decode again from the flushed blocks.
+  auto back = cache.Fetch(mover);
+  ASSERT_TRUE(back.ok()) << back.status();
+  EXPECT_EQ((*back)->attrs()[0].value, Value::String(std::string(220, 'x')));
+  EXPECT_TRUE(cache.Fetch(stayer).ok());
 }
 
 }  // namespace

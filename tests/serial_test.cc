@@ -80,8 +80,9 @@ Value RandomValue(Rng* rng, int depth) {
     default: {
       std::vector<std::pair<std::string, Value>> fields;
       for (uint64_t i = 0, n = rng->Uniform(3); i < n; ++i) {
-        fields.emplace_back("f" + std::to_string(i),
-                            RandomValue(rng, depth - 1));
+        std::string name = "f";
+        name += std::to_string(i);
+        fields.emplace_back(std::move(name), RandomValue(rng, depth - 1));
       }
       return Value::Record(std::move(fields));
     }

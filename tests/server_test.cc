@@ -249,6 +249,49 @@ TEST_F(ServerTest, ConnectAndDisconnect) {
             ResponseStatus::kError);
 }
 
+// Instance, edge and concurrency-control state live in dense tables
+// indexed by id. An id that names nothing, however large, must fail
+// NotFound and leave every table as it was: growing one to 2^62 slots
+// would abort the server.
+TEST_F(ServerTest, HugeNonexistentIdsNeverGrowDenseTables) {
+  auto s = *client_->Connect();
+  ASSERT_EQ(Call(s, "create node as a; create node as b; "
+                    "connect a.out to b.in; get a.weight")
+                .status,
+            ResponseStatus::kOk);
+  db_.NoteTraversal(EdgeId(1));  // the a->b edge gets its statistics
+  const core::Database::DenseTableSlots before = db_.dense_table_slots();
+  EXPECT_GT(before.records, 0u);
+  EXPECT_GT(before.edge_stats, 0u);
+
+  for (const char* stmt :
+       {"get obj(4611686018427387904).weight",
+        "peek obj(4611686018427387904).weight",
+        "set obj(4611686018427387904).weight = 1",
+        "delete obj(4611686018427387904)",
+        "connect obj(4611686018427387904).out to b.in",
+        "disconnect obj(4611686018427387904).out to b.in",
+        "get obj(9223372036854775807).weight"}) {
+    Response r = Call(s, stmt);
+    EXPECT_EQ(r.status, ResponseStatus::kError) << stmt;
+    ASSERT_EQ(r.statements.size(), 1u) << stmt;
+    EXPECT_TRUE(r.statements[0].status.IsNotFound())
+        << stmt << ": " << r.statements[0].status.ToString();
+  }
+
+  const EdgeId huge_edge(1ull << 62);
+  EXPECT_TRUE(db_.Disconnect(huge_edge).IsNotFound());
+  db_.NoteTraversal(huge_edge);
+  EXPECT_EQ(db_.EdgeUsageCount(huge_edge), 0u);
+  EXPECT_EQ(db_.EdgeExpectedIo(huge_edge), 1.0);
+
+  const core::Database::DenseTableSlots after = db_.dense_table_slots();
+  EXPECT_EQ(after.records, before.records);
+  EXPECT_EQ(after.instances, before.instances);
+  EXPECT_EQ(after.edge_stats, before.edge_stats);
+  EXPECT_EQ(after.cc_marks, before.cc_marks);
+}
+
 TEST_F(ServerTest, ParseErrorIsError) {
   auto s = *client_->Connect();
   EXPECT_EQ(Call(s, "frobnicate x").status, ResponseStatus::kError);

@@ -93,7 +93,9 @@ TEST(BlockImageTest, FitsAccountsReplacement) {
 class Listener : public ResidencyListener {
  public:
   void OnBlockLoaded(BlockId id) override { loaded.push_back(id); }
-  void OnBlockEvicted(BlockId id) override { evicted.push_back(id); }
+  void OnBlockEvicted(BlockId id, const BlockImage& /*image*/) override {
+    evicted.push_back(id);
+  }
   std::vector<BlockId> loaded, evicted;
 };
 

@@ -371,7 +371,9 @@ TEST(WalGroupCommitTest, StagedBacklogFlushesAsOneBatch) {
   constexpr int kStaged = 5;
   uint64_t tickets[kStaged];
   for (int i = 0; i < kStaged; ++i) {
-    tickets[i] = wal.Stage(WalEvent::Version("v" + std::to_string(i)));
+    std::string name = "v";
+    name += std::to_string(i);
+    tickets[i] = wal.Stage(WalEvent::Version(std::move(name)));
   }
   // Any waiter elects itself leader and flushes everything staged.
   ASSERT_TRUE(wal.WaitDurable(tickets[kStaged - 1]).ok());

@@ -33,6 +33,13 @@ fails (exit 1) when:
     (e16_<scenario>_ratio_x100 > 100), and it must strictly beat the
     paper's raw-counter greedy packer on at least two scenarios
     (e16_default_wins_vs_greedy >= 2) — both hard gates;
+  * the paper's own algorithmic counters changed at all: every counter
+    in the committed BENCH_incremental_eval.json (E1 rule executions,
+    incremental vs recompute-all), BENCH_repeated_update.json (E2 mark
+    visits as the chain grows) and BENCH_scheduling.json (E4 blocks
+    read per policy and pool size) must equal the fresh value exactly.
+    They are deterministic (simulated disk, no wall clock), so any
+    difference is a change in what the algorithms do (hard gates);
   * a gated metric regressed by more than --threshold (default 25%).
 
 Gated metrics are chosen to be machine-independent so the gate is
@@ -237,6 +244,29 @@ def soak_gates(base, fresh, threshold, raw, notes):
 
 CLUSTER_SCENARIOS = ("stable_tree", "shift_dfs", "shift_pull", "cold_uniform")
 
+# Benches whose every counter is gated exactly (see the module docstring).
+EXACT_BENCHES = ("incremental_eval", "repeated_update", "scheduling")
+
+
+def exact_gates(name, base, fresh, failures):
+    """Every baseline counter must be present in the fresh report with the
+    same value. Returns the number of counters compared."""
+    base_counters = base.get("counters", {})
+    fresh_counters = fresh.get("counters", {})
+    if not base_counters:
+        failures.append(f"baseline BENCH_{name}.json has no counters")
+    for key, want in sorted(base_counters.items()):
+        got = fresh_counters.get(key)
+        if got is None:
+            failures.append(f"fresh {name} report has no {key} counter")
+        elif got != want:
+            failures.append(
+                f"{name}: {key} = {got}, baseline {want} (exact gate: "
+                "the counter is deterministic)"
+            )
+    return len(base_counters)
+
+
 
 def clustering_hard_gates(fresh, failures):
     """E16 invariants are deterministic (seeded workload, simulated disk):
@@ -408,6 +438,22 @@ def main():
             gates += telemetry_gates(base_tel, fresh_tel, args.threshold,
                                      notes)
 
+    exact_rows = []
+    for name in EXACT_BENCHES:
+        fresh_doc, fresh_path = load(args.fresh, f"BENCH_{name}.json")
+        base_doc, base_path = load(args.baseline, f"BENCH_{name}.json")
+        if fresh_doc is None:
+            failures.append(f"missing fresh {name} report: {fresh_path}")
+        elif base_doc is None:
+            failures.append(f"missing committed baseline: {base_path}")
+        else:
+            before = len(failures)
+            n = exact_gates(name, base_doc, fresh_doc, failures)
+            verdict = "ok" if len(failures) == before else "CHANGED"
+            exact_rows.append(
+                f"  {name:<32} {n} counters compared exactly        {verdict}"
+            )
+
     fresh_chaos, _ = load(args.fresh, "BENCH_chaos.json")
     if fresh_chaos is None:
         notes.append("no fresh BENCH_chaos.json; E14 invariant gates skipped")
@@ -428,6 +474,8 @@ def main():
                                 args.raw, notes)
 
     print(f"bench_diff: threshold {args.threshold:.0%}")
+    for row in exact_rows:
+        print(row)
     for g in gates:
         print(g.row())
         if not g.ok:
