@@ -19,7 +19,7 @@ namespace cactis {
 
 /// Monotone logical clock; Tick() is strictly increasing from 1.
 /// Atomic so concurrent read-only statements can stamp auto-commit
-/// reads without holding the exclusive statement lock.
+/// reads without holding the statement lock.
 class LogicalClock {
  public:
   uint64_t Tick() { return now_.fetch_add(1, std::memory_order_relaxed) + 1; }

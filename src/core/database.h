@@ -12,19 +12,18 @@
 // Database-level convenience methods run one-operation auto-commit
 // transactions.
 //
-// THREADING: mutating entry points are single-threaded — concurrent
-// clients go through the service layer (src/server), whose Executor
-// serializes mutating statements behind the exclusive side of a
-// reader/writer statement lock. Read-only statements may instead run
-// concurrently under the shared side, but only through the explicitly
-// shared entry points (TryGetShared, InstancesOfShared,
-// TrySelectWhereShared, TryMembersOfSubtypeShared): those touch nothing
-// but already-cached, up-to-date state (plus the atomic read_ts marks)
-// and report a miss so the caller can retry under the exclusive lock.
-// Every other entry point — including SnapshotMetrics(), which reads
-// live counters — is exclusive-only; a ThreadSharedGuard aborts with a
-// diagnostic on any violation (use server::Executor::SnapshotMetrics()
-// when a server is running).
+// THREADING: the Database is single-threaded. Concurrent clients go
+// through the service layer (src/server), whose Executor serializes
+// statements behind one statement mutex. The only entry points that run
+// without it are the MVCC snapshot reads (AcquireSnapshot, TryGetSnapshot,
+// TryInstancesOfSnapshot, TrySelectWhereSnapshot): they read the
+// snapshot index's immutable version chains and the catalog, record
+// deferred cache touches, and never look at live instances or
+// timestamp-ordering marks. Every other entry point — including
+// SnapshotMetrics(), which reads live counters — needs the statement
+// lock; a ThreadSerialGuard aborts with a diagnostic when two threads
+// enter at once (use server::Executor::SnapshotMetrics() when a server
+// is running).
 //
 // Usage:
 //
@@ -197,9 +196,9 @@ class Transaction {
   Status Commit();
 
   // Split-phase commit for the service layer's group-commit path: Stage
-  // under the exclusive statement lock, wait for durability WITHOUT the
-  // lock (so other statements proceed while the WAL flush leader is on
-  // the disk), then finish under the exclusive lock again.
+  // under the statement lock, wait for durability WITHOUT the lock (so
+  // other statements proceed while the WAL flush leader is on the disk),
+  // then finish under the statement lock again.
 
   /// Stages the commit in the WAL's group-commit queue and closes the
   /// transaction. Returns the WAL ticket, or 0 when no journaling was
@@ -318,7 +317,7 @@ class Database {
   /// WAL past the checkpoint LSN. Recovery afterwards is load-image +
   /// replay-tail, O(WAL tail) instead of O(history). Crash-safe: a crash
   /// at any write during checkpointing recovers to either the previous or
-  /// the new checkpoint, never garbage. Requires the WAL; exclusive lock.
+  /// the new checkpoint, never garbage. Requires the WAL; statement lock.
   Status Checkpoint();
 
   /// Number of transactions in the committed history (the crash-point
@@ -351,39 +350,7 @@ class Database {
 
   Result<ClassId> ClassOf(InstanceId id);
 
-  // --- Shared (concurrent) read path --------------------------------------
-  //
-  // These entry points may be called from any number of threads holding
-  // the *shared* side of the service layer's statement lock. They answer
-  // only from already-cached, up-to-date state; a disengaged optional
-  // means "fast path miss — retry under the exclusive lock", never an
-  // error. An engaged optional carries exactly the result the exclusive
-  // path would have produced.
-
-  /// Shared-path Get/Peek. `t` may be null (auto-commit read; a fresh
-  /// timestamp is issued for the CC check). `subscribe` distinguishes
-  /// Get (true) from Peek (false); a Get of a not-yet-subscribed derived
-  /// attribute misses, because subscribing mutates the instance.
-  std::optional<Result<Value>> TryGetShared(Transaction* t, InstanceId id,
-                                            const std::string& attr,
-                                            bool subscribe);
-
-  /// Shared-path InstancesOf. Never misses: the class index is only
-  /// reshaped under the exclusive lock.
-  Result<std::vector<InstanceId>> InstancesOfShared(
-      const std::string& class_name);
-
-  /// Shared-path MembersOfSubtype. Misses when any member's predicate is
-  /// out of date (the exclusive path would re-evaluate it).
-  std::optional<Result<std::vector<InstanceId>>> TryMembersOfSubtypeShared(
-      const std::string& name);
-
-  /// Shared-path SelectWhere. Misses when any touched instance is not
-  /// cached or any needed derived value is out of date.
-  std::optional<Result<std::vector<InstanceId>>> TrySelectWhereShared(
-      const std::string& class_name, const std::string& predicate_source);
-
-  /// Publishes every commit whose WAL batch has been flushed. Exclusive
+  /// Publishes every commit whose WAL batch has been flushed. Statement
   /// lock required. Called by the service layer before reading state that
   /// depends on the committed history (version meta-actions, metrics
   /// snapshots, shutdown).
@@ -391,16 +358,16 @@ class Database {
 
   // --- MVCC snapshot read path --------------------------------------------
   //
-  // Unlike the shared path above, these entry points take NO statement
-  // lock at all (neither side) and never touch the timestamp-ordering
-  // marks: they resolve reads against the snapshot index's immutable
-  // per-instance version chains, pinned at the latest published commit
-  // sequence. They may therefore run concurrently with exclusive
-  // mutators. A disengaged optional is a miss — the chain cannot prove
-  // the committed value (derived attribute, unproven instance, pruned
-  // history, expired snapshot) — and the caller falls back to the locked
-  // paths. The caller must pin the schema against concurrent LoadSchema
-  // (the executor's schema_mu_), because these consult the catalog.
+  // These entry points take NO statement lock and never touch the
+  // timestamp-ordering marks: they resolve reads against the snapshot
+  // index's immutable per-instance version chains, pinned at the latest
+  // published commit sequence. They may therefore run concurrently with
+  // statements holding the lock. A disengaged optional is a miss — the
+  // chain cannot prove the committed value (derived attribute, unproven
+  // instance, pruned history, expired snapshot) — and the caller falls
+  // back to the statement lock. The caller must pin the schema against
+  // concurrent LoadSchema (the executor's schema_mu_), because these
+  // consult the catalog.
 
   /// Registers a snapshot at the latest published commit. Lock-free;
   /// invalid (always-miss) when all snapshot slots are busy.
@@ -713,7 +680,7 @@ class Database {
   Status UndoLastInternal();
   /// Builds the checkpoint image from live state: id counters, a
   /// bootstrap delta recreating every instance/attribute/edge, and the
-  /// version-store state. Exclusive lock, commits drained, WAL idle.
+  /// version-store state. Statement lock, commits drained, WAL idle.
   Result<txn::CheckpointImage> BuildCheckpointImage();
   /// Replays a checkpoint image into this (fresh) database.
   Status LoadCheckpointImage(const txn::CheckpointImage& image);
@@ -800,10 +767,9 @@ class Database {
   };
 
   DatabaseOptions options_;
-  // Detects unsynchronized concurrent entry: exclusive entry points
-  // conflict with everything, shared entry points only with exclusive
-  // ones (see the class comment; entry points in database.cc).
-  mutable ThreadSharedGuard serial_guard_;
+  // Detects unsynchronized concurrent entry (see the class comment;
+  // entry points in database.cc).
+  mutable ThreadSerialGuard serial_guard_;
   // Declared before the storage stack: components hold pointers into the
   // registry and trace sink, so these must outlive them.
   obs::MetricsRegistry metrics_;
@@ -842,7 +808,7 @@ class Database {
   std::vector<std::optional<EdgeStatEntry>> edge_stats_;
   std::unordered_map<InstanceId, AccessDecayEntry> access_decay_;
   ClusterStats cluster_stats_;
-  // Lifetime crossings across all edges (exclusive-path only, like the
+  // Lifetime crossings across all edges (locked path only, like the
   // per-edge usage statistics); exported as cluster.traversal_crossings.
   uint64_t traversal_crossings_ = 0;
   std::unordered_map<InstanceId, MirrorResolver> mirror_resolvers_;

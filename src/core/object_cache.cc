@@ -93,11 +93,6 @@ Status ObjectCache::Insert(Instance inst) {
   return Status::OK();
 }
 
-const Instance* ObjectCache::PeekCached(InstanceId id) const {
-  CACTIS_SHARED_GUARD(serial_guard_);
-  return CachedCopy(id);
-}
-
 void ObjectCache::NoteSharedTouch(InstanceId id) {
   TouchShard& shard =
       touch_shards_[std::hash<InstanceId>{}(id) % kTouchShards];

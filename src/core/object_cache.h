@@ -13,8 +13,8 @@
 // The block an instance lives in is not copied here: the record store's
 // directory is the only placement map, and on eviction the cache drops
 // exactly the records the departing block image lists. The table grows
-// only once the record store has confirmed the id, and only on exclusive
-// operations; a lookup past its end is a miss.
+// only once the record store has confirmed the id; a lookup past its
+// end is a miss.
 //
 // POINTER DISCIPLINE: a Fetch()ed Instance* is valid only until the next
 // operation that can fault a block in (another Fetch, a Write, any
@@ -26,15 +26,13 @@
 // still from the current generation. Debug builds assert freshness when a
 // cached copy is written through; tests assert it directly.
 //
-// THREADING: mutating operations are exclusive — callers (Database, and
-// through it the server executor) serialise them behind the exclusive
-// statement lock, and a ThreadSharedGuard aborts loudly if two threads
-// ever race into one. The read path is different: statements running
-// under the *shared* statement lock may PeekCached() concurrently. A
-// peek performs no LRU bookkeeping (it would race); instead readers
-// record deferred touches into small sharded buffers (NoteSharedTouch)
-// that the reorganizer drains into the access counts, so hot-set
-// clustering still sees read traffic.
+// THREADING: the cache is single-threaded — callers (Database, and
+// through it the server executor) serialise every operation behind the
+// statement lock, and a ThreadSerialGuard aborts loudly if two threads
+// ever race into one. The one exception is NoteSharedTouch: lock-free
+// snapshot reads never touch the cache itself, but they record deferred
+// touches into small lock-striped buffers that the reorganizer drains
+// into the access counts, so hot-set clustering still sees read traffic.
 
 #ifndef CACTIS_CORE_OBJECT_CACHE_H_
 #define CACTIS_CORE_OBJECT_CACHE_H_
@@ -75,19 +73,13 @@ class ObjectCache : public storage::ResidencyListener {
   /// Removes the instance from cache and store.
   Status Remove(InstanceId id);
 
-  /// Shared read path: returns the decoded copy if (and only if) it is
-  /// already cached; never faults, never bumps the generation, never
-  /// touches LRU state. Safe from any number of threads holding the
-  /// shared statement lock — the pointer stays valid while that lock is
-  /// held, because every invalidating operation is exclusive.
-  const Instance* PeekCached(InstanceId id) const;
-
-  /// Records a read hit from the shared path for later LRU/clustering
-  /// accounting. Lock-striped; drops the touch if its shard is full.
+  /// Records a lock-free (snapshot) read for later clustering
+  /// accounting. Safe from any thread, with or without the statement
+  /// lock. Lock-striped; drops the touch if its shard is full.
   void NoteSharedTouch(InstanceId id);
 
   /// Drains all deferred touches, adding one to the access count of each
-  /// touched instance that still exists. Exclusive-lock only (the
+  /// touched instance that still exists. Statement lock required (the
   /// reorganizer).
   void DrainTouches();
 
@@ -152,7 +144,7 @@ class ObjectCache : public storage::ResidencyListener {
 
   const schema::Catalog* catalog_;
   storage::RecordStore* store_;
-  mutable ThreadSharedGuard serial_guard_;
+  mutable ThreadSerialGuard serial_guard_;
   uint64_t generation_ = 0;
   // Indexed by InstanceId::value.
   std::vector<Slot> slots_;

@@ -101,8 +101,7 @@ void WriteHistogramData(JsonWriter* w, const HistogramData& d) {
 
 }  // namespace
 
-std::string MetricsRegistry::SnapshotJson() const {
-  MetricsSnapshot snap = Snapshot();
+std::string MetricsRegistry::ToJson(const MetricsSnapshot& snap) const {
   JsonWriter w;
   w.BeginObject();
   w.Key("enabled").Bool(enabled());

@@ -45,6 +45,34 @@ namespace cactis::obs {
 
 class MetricsRegistry;
 
+/// A uint64_t stats field that one thread may bump while another
+/// thread's snapshot source reads it: a relaxed atomic that copies,
+/// assigns and converts like the plain integer it replaces. For stats
+/// structs written outside the statement lock (the WAL flush leader's
+/// disk and log counters).
+class RelaxedCounter {
+ public:
+  RelaxedCounter(uint64_t v = 0) : v_(v) {}  // NOLINT: implicit by design
+  RelaxedCounter(const RelaxedCounter& o) : v_(o.get()) {}
+  RelaxedCounter& operator=(const RelaxedCounter& o) {
+    v_.store(o.get(), std::memory_order_relaxed);
+    return *this;
+  }
+  operator uint64_t() const { return get(); }  // NOLINT: implicit by design
+  uint64_t get() const { return v_.load(std::memory_order_relaxed); }
+  RelaxedCounter& operator++() {
+    v_.fetch_add(1, std::memory_order_relaxed);
+    return *this;
+  }
+  RelaxedCounter& operator+=(uint64_t n) {
+    v_.fetch_add(n, std::memory_order_relaxed);
+    return *this;
+  }
+
+ private:
+  std::atomic<uint64_t> v_;
+};
+
 class Counter {
  public:
   void Increment(uint64_t n = 1) {
@@ -216,7 +244,12 @@ class MetricsRegistry {
   // Within a source group, exported counters render as integers,
   // exported gauges as floating-point numbers, and exported histograms
   // as {"count","sum","buckets"} objects.
-  std::string SnapshotJson() const;
+  std::string SnapshotJson() const { return ToJson(Snapshot()); }
+
+  /// The SnapshotJson() document for an already-taken snapshot, so a
+  /// caller can serialize after releasing whatever lock it took the
+  /// snapshot under.
+  std::string ToJson(const MetricsSnapshot& snap) const;
 
  private:
   std::atomic<bool> enabled_;

@@ -71,7 +71,7 @@ class TraceSink {
   size_t capacity() const { return capacity_; }
 
   // NOT thread-safe: every Record() site runs under the service layer's
-  // exclusive statement lock (or in single-threaded library use), which
+  // statement lock (or in single-threaded library use), which
   // also means the recording thread's RequestScope identifies the
   // statement the event belongs to. The trace_id lookup happens after
   // the enabled check, preserving the one-branch disabled discipline.

@@ -74,8 +74,8 @@ bool IsAbort(const Status& s) {
   return s.IsTransactionAborted() || s.IsConflict();
 }
 
-/// Tracks live/peak reader concurrency while a shared-lock statement is
-/// in flight.
+/// Tracks live/peak reader concurrency while a snapshot read is in
+/// flight.
 class ReaderScope {
  public:
   explicit ReaderScope(ServerStats* stats) : stats_(stats) {
@@ -144,15 +144,10 @@ std::string_view StatementKindName(StatementKind k) {
   return "unknown";
 }
 
-/// Charges the calling statement for time spent waiting on a lock.
-void ChargeLockWait(bool shared, uint64_t us) {
-  if (auto* c = obs::RequestScope::CurrentCost()) {
-    if (shared) {
-      c->lock_wait_shared_us += us;
-    } else {
-      c->lock_wait_excl_us += us;
-    }
-  }
+/// Charges the calling statement for time spent waiting on the
+/// statement lock.
+void ChargeLockWait(uint64_t us) {
+  if (auto* c = obs::RequestScope::CurrentCost()) c->lock_wait_excl_us += us;
 }
 
 }  // namespace
@@ -208,7 +203,6 @@ void ServerStats::ExportTo(obs::MetricsGroup* g) const {
   g->AddCounter("sessions_expired", load(sessions_expired));
   g->AddCounter("queue_depth_peak", load(queue_depth_peak));
   g->AddGauge("queue_depth", static_cast<double>(load(queue_depth)));
-  g->AddCounter("shared_lock_acquisitions", load(shared_lock_acquisitions));
   g->AddCounter("snapshot_reads", load(snapshot_reads));
   g->AddCounter("snapshot_fallbacks", load(snapshot_fallbacks));
   g->AddCounter("fast_path_reads", load(fast_path_reads));
@@ -222,7 +216,6 @@ void ServerStats::ExportTo(obs::MetricsGroup* g) const {
   g->AddCounter("cost_attrs_reevaluated", load(cost_attrs_reevaluated));
   g->AddCounter("cost_chunks_scheduled", load(cost_chunks_scheduled));
   g->AddCounter("cost_wal_bytes", load(cost_wal_bytes));
-  g->AddCounter("cost_lock_wait_shared_us", load(cost_lock_wait_shared_us));
   g->AddCounter("cost_lock_wait_excl_us", load(cost_lock_wait_excl_us));
   g->AddCounter("profile_statements", load(profile_statements));
   g->AddCounter("explain_statements", load(explain_statements));
@@ -290,7 +283,6 @@ Executor::Executor(core::Database* db, ServerOptions options)
       w.Key("chunks_scheduled").Uint(load(s.acct.chunks_scheduled));
       w.Key("wal_bytes").Uint(load(s.acct.wal_bytes));
       w.Key("queue_wait_us").Uint(load(s.acct.queue_wait_us));
-      w.Key("lock_wait_shared_us").Uint(load(s.acct.lock_wait_shared_us));
       w.Key("lock_wait_excl_us").Uint(load(s.acct.lock_wait_excl_us));
       w.Key("exec_us").Uint(load(s.acct.exec_us));
       w.EndObject();
@@ -300,10 +292,10 @@ Executor::Executor(core::Database* db, ServerOptions options)
   });
 
   // Telemetry pipeline: sampler ticks snapshot the registry under the
-  // statement lock (exclusive — the same discipline as
-  // SnapshotMetrics(), so subsystem stats structs are quiescent while
-  // exported) and feed the watchdog. One tick per second by default;
-  // E17 gates the cost at <2% of throughput.
+  // statement lock (the same discipline as SnapshotMetrics(), so
+  // subsystem stats structs are quiescent while exported) and feed the
+  // watchdog. One tick per second by default; E17 gates the cost at <2%
+  // of throughput.
   watchdog_ = std::make_unique<obs::Watchdog>(options_.watchdog);
   obs::SamplerOptions sopts;
   sopts.interval_ms = options_.sampler_interval_ms;
@@ -311,7 +303,7 @@ Executor::Executor(core::Database* db, ServerOptions options)
   sopts.now_ms = options_.now_ms;  // fake clocks flow through
   sampler_ = std::make_unique<obs::Sampler>(
       [this] {
-        std::lock_guard<std::shared_mutex> dlk(db_mu_);
+        std::lock_guard<std::mutex> dlk(db_mu_);
         return db_->metrics()->Snapshot();
       },
       std::move(sopts));
@@ -394,7 +386,7 @@ void Executor::Shutdown() {
   // Publish any staged commits whose batches flushed (their owners were
   // already acknowledged) so the final state matches what clients saw.
   {
-    std::lock_guard<std::shared_mutex> dlk(db_mu_);
+    std::lock_guard<std::mutex> dlk(db_mu_);
     (void)db_->DrainCommits();
   }
 }
@@ -448,7 +440,7 @@ Status Executor::CloseSessionEager(SessionId id) {
 void Executor::DisposeSessions(std::vector<std::shared_ptr<Session>> dead,
                                bool expired) {
   if (dead.empty()) return;
-  std::lock_guard<std::shared_mutex> dlk(db_mu_);
+  std::lock_guard<std::mutex> dlk(db_mu_);
   for (auto& s : dead) {
     // The session is out of the table and marked closed; nothing else
     // touches it. Destroying an open transaction rolls it back.
@@ -563,16 +555,24 @@ Status Executor::LoadSchema(std::string_view source) {
   // schema_mu_ first (snapshot readers pin the catalog through it
   // without ever touching db_mu_), then the statement lock.
   std::lock_guard<std::shared_mutex> slk(schema_mu_);
-  std::lock_guard<std::shared_mutex> dlk(db_mu_);
+  std::lock_guard<std::mutex> dlk(db_mu_);
   return db_->LoadSchema(source);
 }
 
 std::string Executor::SnapshotMetrics() {
-  std::lock_guard<std::shared_mutex> dlk(db_mu_);
-  // Publish every already-durable staged commit first, so the committed-
-  // transaction gauge and WAL counters agree with what clients were told.
-  (void)db_->DrainCommits();
-  return db_->SnapshotMetrics();
+  obs::MetricsSnapshot snap;
+  {
+    std::lock_guard<std::mutex> dlk(db_mu_);
+    // Publish every already-durable staged commit first, so the
+    // committed-transaction gauge and WAL counters agree with what
+    // clients were told.
+    (void)db_->DrainCommits();
+    snap = db_->metrics()->Snapshot();
+  }
+  // Serialize with the lock released. The statement mutex does not queue
+  // fairly, so a caller snapshotting in a loop that re-took it at once
+  // could starve a waiting statement indefinitely.
+  return db_->metrics()->ToJson(snap);
 }
 
 Response Executor::Process(Task* task) {
@@ -652,7 +652,7 @@ Response Executor::Process(Task* task) {
           parsed->kind != StatementKind::kAlerts;
 
       // Latency includes the statement-lock wait: that contention is the
-      // very thing the reader/writer split is meant to shrink.
+      // very thing the lock-free snapshot path is meant to shrink.
       const uint64_t t0 = NowUs();
       if (parsed->kind == StatementKind::kHealth) {
         // Lock-free by design: health must answer while storage is down.
@@ -675,7 +675,7 @@ Response Executor::Process(Task* task) {
             "server degraded (read-only): " + reason);
       } else if (parsed->modifier == StatementModifier::kExplain) {
         const uint64_t lk0 = NowUs();
-        std::lock_guard<std::shared_mutex> dlk(db_mu_);
+        std::lock_guard<std::mutex> dlk(db_mu_);
         cost.lock_wait_excl_us += NowUs() - lk0;
         result = ExecuteExplain(session.get(), *parsed);
         stats_.explain_statements.fetch_add(1, std::memory_order_relaxed);
@@ -685,7 +685,7 @@ Response Executor::Process(Task* task) {
         result = ExecuteCommitStatement(session.get());
       } else {
         const uint64_t lk0 = NowUs();
-        std::lock_guard<std::shared_mutex> dlk(db_mu_);
+        std::lock_guard<std::mutex> dlk(db_mu_);
         cost.lock_wait_excl_us += NowUs() - lk0;
         result = ExecuteStatement(session.get(), &*parsed);
       }
@@ -818,8 +818,7 @@ StatementResult Executor::ExecuteReadStatement(Session* s, Statement* st) {
 
   // MVCC snapshot first: resolve against the version chains with no
   // statement lock and no timestamp-ordering marks. A snapshot-eligible
-  // statement that misses here is counted in snapshot_fallbacks and
-  // continues into the locked paths below.
+  // statement that misses here is counted in snapshot_fallbacks.
   {
     std::shared_lock<std::shared_mutex> slk(schema_mu_);
     ReaderScope readers(&stats_);
@@ -830,95 +829,14 @@ StatementResult Executor::ExecuteReadStatement(Session* s, Statement* st) {
       return std::move(*snap);
     }
   }
-
-  {
-    const uint64_t lk0 = NowUs();
-    std::shared_lock<std::shared_mutex> dlk(db_mu_);
-    ChargeLockWait(/*shared=*/true, NowUs() - lk0);
-    stats_.shared_lock_acquisitions.fetch_add(1, std::memory_order_relaxed);
-    ReaderScope readers(&stats_);
-    std::optional<StatementResult> fast = TryExecuteReadShared(s, st);
-    if (fast.has_value()) {
-      stats_.fast_path_reads.fetch_add(1, std::memory_order_relaxed);
-      if (auto* c = obs::RequestScope::CurrentCost()) c->shared_path = true;
-      return std::move(*fast);
-    }
-  }
-  // The cached state could not answer (block not resident, derived value
-  // out of date, unsubscribed, or a CC conflict that must abort
-  // properly): run the full statement exclusively.
+  // The chains could not answer, or the read is ineligible (derived
+  // attribute, `members`, inside a transaction): run it under the
+  // statement lock with full concurrency control.
   stats_.fast_path_fallbacks.fetch_add(1, std::memory_order_relaxed);
   const uint64_t lk0 = NowUs();
-  std::lock_guard<std::shared_mutex> dlk(db_mu_);
-  ChargeLockWait(/*shared=*/false, NowUs() - lk0);
+  std::lock_guard<std::mutex> dlk(db_mu_);
+  ChargeLockWait(NowUs() - lk0);
   return ExecuteStatement(s, st);
-}
-
-std::optional<StatementResult> Executor::TryExecuteReadShared(Session* s,
-                                                              Statement* st) {
-  StatementResult r;
-  switch (st->kind) {
-    case StatementKind::kGet:
-    case StatementKind::kPeek: {
-      auto id = Resolve(s, st->a);
-      if (!id.ok()) {
-        r.status = id.status();
-        return r;
-      }
-      // Peek is an auto-commit read regardless of any open transaction
-      // (same as the exclusive path); Get reads through the session's
-      // transaction when one is open.
-      const bool is_get = st->kind == StatementKind::kGet;
-      core::Transaction* txn = is_get ? s->txn.get() : nullptr;
-      auto v = db_->TryGetShared(txn, *id, st->attr_a, /*subscribe=*/is_get);
-      if (!v.has_value()) return std::nullopt;
-      if (!v->ok()) {
-        // Only definitive errors (e.g. unknown attribute) come back
-        // engaged; conflicts miss instead, so no abort handling here.
-        r.status = v->status();
-        return r;
-      }
-      r.payload = (*v)->ToString();
-      return r;
-    }
-    case StatementKind::kInstances: {
-      auto ids = db_->InstancesOfShared(st->class_name);
-      if (!ids.ok()) {
-        r.status = ids.status();
-        return r;
-      }
-      s->cursor = std::move(*ids);
-      s->cursor_pos = 0;
-      r.payload = "count=" + std::to_string(s->cursor.size());
-      return r;
-    }
-    case StatementKind::kMembers: {
-      auto ids = db_->TryMembersOfSubtypeShared(st->class_name);
-      if (!ids.has_value()) return std::nullopt;
-      if (!ids->ok()) {
-        r.status = ids->status();
-        return r;
-      }
-      s->cursor = std::move(**ids);
-      s->cursor_pos = 0;
-      r.payload = "count=" + std::to_string(s->cursor.size());
-      return r;
-    }
-    case StatementKind::kSelect: {
-      auto ids = db_->TrySelectWhereShared(st->class_name, st->predicate);
-      if (!ids.has_value()) return std::nullopt;
-      if (!ids->ok()) {
-        r.status = ids->status();
-        return r;
-      }
-      s->cursor = std::move(**ids);
-      s->cursor_pos = 0;
-      r.payload = "count=" + std::to_string(s->cursor.size());
-      return r;
-    }
-    default:
-      return std::nullopt;
-  }
 }
 
 std::optional<StatementResult> Executor::TryExecuteReadSnapshot(Session* s,
@@ -929,8 +847,8 @@ std::optional<StatementResult> Executor::TryExecuteReadSnapshot(Session* s,
   // derived and never chained. Ineligible statements return nullopt
   // without counting a snapshot fallback.
   StatementResult r;
-  // Miss on an eligible statement: record the fallback, then fall
-  // through to the locked paths.
+  // Miss on an eligible statement: record the fallback, then run it
+  // under the statement lock.
   auto miss = [this]() -> std::optional<StatementResult> {
     stats_.snapshot_fallbacks.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
@@ -995,12 +913,12 @@ StatementResult Executor::ExecuteCommitStatement(Session* s) {
     r.status = Status::InvalidArgument("no open transaction");
     return r;
   }
-  // Phase 1 (exclusive): stage the delta in the WAL's group-commit queue.
+  // Phase 1 (statement lock): stage the delta in the WAL's group-commit queue.
   uint64_t ticket = 0;
   {
     const uint64_t lk0 = NowUs();
-    std::lock_guard<std::shared_mutex> dlk(db_mu_);
-    ChargeLockWait(/*shared=*/false, NowUs() - lk0);
+    std::lock_guard<std::mutex> dlk(db_mu_);
+    ChargeLockWait(NowUs() - lk0);
     auto staged = s->txn->StageCommit();
     if (!staged.ok()) {
       s->txn.reset();
@@ -1013,12 +931,12 @@ StatementResult Executor::ExecuteCommitStatement(Session* s) {
   // Phase 2 (no lock): wait for the batch flush. Other statements — and
   // other commits, which batch into the same WAL write — run meanwhile.
   Status durable = s->txn->WaitCommitDurable(ticket);
-  // Phase 3 (exclusive): publish, or record the abort on flush failure.
+  // Phase 3 (statement lock): publish, or record the abort on flush failure.
   Status status;
   {
     const uint64_t lk0 = NowUs();
-    std::lock_guard<std::shared_mutex> dlk(db_mu_);
-    ChargeLockWait(/*shared=*/false, NowUs() - lk0);
+    std::lock_guard<std::mutex> dlk(db_mu_);
+    ChargeLockWait(NowUs() - lk0);
     status = s->txn->FinishCommit(ticket, std::move(durable));
   }
   s->txn.reset();

@@ -16,28 +16,26 @@
 //
 // * Concurrency discipline. Workers parse statements in parallel
 //   (parsing is pure) and serialize on the session mutex (one batch per
-//   session at a time). Database access goes through a reader/writer
-//   statement lock: mutating statements hold it exclusively (the
-//   mutation path of the core is single-threaded by design). Read-only
-//   auto-commit statements (get/peek/select/instances) first try the
-//   MVCC snapshot path: a commit-sequence snapshot resolved against the
-//   Database's per-instance version chains, with NO statement lock and
-//   NO timestamp-ordering marks — a snapshot read can never abort a
-//   writer. Only when the chains cannot prove the answer (derived
-//   attribute, relationship traversal, uncached history) does the read
-//   fall back to the shared statement lock and the cached fast-path
-//   entry points, and from there to the exclusive side. `fetch` only
-//   advances the session cursor and takes no lock at all. The paper's
-//   multi-user concurrency is still timestamp ordering over interleaved
-//   mutations; in-transaction reads participate through atomic
-//   read-mark updates. Conflicts surface as clean kAborted responses;
-//   the client retries.
+//   session at a time). Database access goes through one statement
+//   mutex: every statement that touches the core holds it (the core is
+//   single-threaded by design). Read-only auto-commit statements
+//   (get/peek/select/instances) first try the MVCC snapshot path: a
+//   commit-sequence snapshot resolved against the Database's
+//   per-instance version chains, with NO statement lock and NO
+//   timestamp-ordering marks — a snapshot read can never abort a
+//   writer. Every other read (a snapshot miss, a derived attribute,
+//   `members`, any read inside a transaction) runs under the statement
+//   lock with full concurrency control. `fetch` only advances the
+//   session cursor and takes no lock at all. The paper's multi-user
+//   concurrency is timestamp ordering over interleaved statements;
+//   conflicts surface as clean kAborted responses and the client
+//   retries.
 //
 // * Group commit. `commit` is split-phase: the delta is staged in the
-//   WAL's group-commit queue under the exclusive lock, the durability
+//   WAL's group-commit queue under the statement lock, the durability
 //   wait happens with NO statement lock held (so other statements — and
 //   other commits, which batch into one WAL write — proceed during the
-//   flush), and the commit is published under the exclusive lock once
+//   flush), and the commit is published under the statement lock once
 //   durable. See DESIGN.md "Group commit".
 //
 // * Graceful degradation. A mutating statement that fails with a storage
@@ -54,12 +52,12 @@
 // * Observability. The executor registers a "server" metrics group with
 //   the database's registry: queue depth gauge, admission rejections,
 //   active sessions, per-statement latency histogram (with p50/p99/p999
-//   and max gauges), shared-lock acquisitions, fast-path hit/fallback
-//   counters, and a live/peak reader-concurrency gauge. (WAL batch-size
-//   counters live in the "wal" group.) Snapshot through
-//   Executor::SnapshotMetrics(), which takes the statement lock
-//   exclusively — Database::SnapshotMetrics() itself is as
-//   single-threaded as the rest of the core.
+//   and max gauges), snapshot hit/fallback counters, the count of reads
+//   run under the statement lock, and a live/peak reader-concurrency
+//   gauge. (WAL batch-size counters live in the "wal" group.) Snapshot
+//   through Executor::SnapshotMetrics(), which takes the statement lock
+//   — Database::SnapshotMetrics() itself is as single-threaded as the
+//   rest of the core.
 
 #ifndef CACTIS_SERVER_EXECUTOR_H_
 #define CACTIS_SERVER_EXECUTOR_H_
@@ -142,16 +140,16 @@ struct ServerStats {
   std::atomic<uint64_t> queue_depth{0};
   std::atomic<uint64_t> queue_depth_peak{0};
 
-  // Concurrent read path. Every non-fetch read lands in exactly one of
-  // snapshot_reads / fast_path_reads / fast_path_fallbacks;
-  // snapshot_fallbacks additionally counts the snapshot-eligible
-  // statements among the latter two (attempted the lock-free path and
-  // missed into a locked one).
-  std::atomic<uint64_t> shared_lock_acquisitions{0};
+  // Read routing. Every non-fetch read lands in exactly one of
+  // snapshot_reads / fast_path_fallbacks; snapshot_fallbacks additionally
+  // counts the snapshot-eligible statements among the latter (attempted
+  // the lock-free path and missed). fast_path_reads is retired: the
+  // shared-lock tier it counted is gone and it always reads 0. It and
+  // fast_path_fallbacks keep their names because perfbench reads them.
   std::atomic<uint64_t> snapshot_reads{0};       // answered lock-free (MVCC)
   std::atomic<uint64_t> snapshot_fallbacks{0};   // snapshot miss -> locked
-  std::atomic<uint64_t> fast_path_reads{0};      // answered under shared lock
-  std::atomic<uint64_t> fast_path_fallbacks{0};  // retried exclusively
+  std::atomic<uint64_t> fast_path_reads{0};      // retired; always 0
+  std::atomic<uint64_t> fast_path_fallbacks{0};  // run under statement lock
   std::atomic<uint64_t> readers_active{0};       // live gauge
   std::atomic<uint64_t> readers_peak{0};
 
@@ -165,7 +163,6 @@ struct ServerStats {
   std::atomic<uint64_t> cost_attrs_reevaluated{0};
   std::atomic<uint64_t> cost_chunks_scheduled{0};
   std::atomic<uint64_t> cost_wal_bytes{0};
-  std::atomic<uint64_t> cost_lock_wait_shared_us{0};
   std::atomic<uint64_t> cost_lock_wait_excl_us{0};
   std::atomic<uint64_t> profile_statements{0};  // `profile ...` executed
   std::atomic<uint64_t> explain_statements{0};  // `explain ...` executed
@@ -189,7 +186,6 @@ struct ServerStats {
     add(cost_attrs_reevaluated, c.attrs_reevaluated);
     add(cost_chunks_scheduled, c.chunks_scheduled);
     add(cost_wal_bytes, c.wal_bytes);
-    add(cost_lock_wait_shared_us, c.lock_wait_shared_us);
     add(cost_lock_wait_excl_us, c.lock_wait_excl_us);
   }
 
@@ -352,20 +348,16 @@ class Executor {
 
   void WorkerLoop();
   Response Process(Task* task);
-  /// Exclusive-lock statement execution (caller holds db_mu_ exclusive).
+  /// Statement execution proper (caller holds db_mu_).
   StatementResult ExecuteStatement(Session* s, Statement* st);
-  /// Read-only statement: shared lock + fast path, exclusive fallback.
+  /// Read-only statement: snapshot path first, then the statement lock.
   /// Takes db_mu_ itself.
   StatementResult ExecuteReadStatement(Session* s, Statement* st);
-  /// Shared fast path proper (caller holds db_mu_ shared). nullopt means
-  /// the cached state could not answer — retry exclusively.
-  std::optional<StatementResult> TryExecuteReadShared(Session* s,
-                                                      Statement* st);
   /// MVCC snapshot path: resolves an auto-commit read against the
   /// version chains with no statement lock at all (caller holds
   /// schema_mu_ shared to pin the catalog). nullopt means the chains
   /// could not prove the answer, or the statement is ineligible (inside
-  /// a transaction, `members`) — fall through to the locked paths.
+  /// a transaction, `members`) — run it under the statement lock.
   std::optional<StatementResult> TryExecuteReadSnapshot(Session* s,
                                                         Statement* st);
   /// Split-phase commit (stage / wait durable / publish). Takes db_mu_
@@ -373,7 +365,7 @@ class Executor {
   StatementResult ExecuteCommitStatement(Session* s);
   /// `explain <stmt>`: reports the plan (residency, dependency edges,
   /// scheduling policy) without executing the statement's side effects.
-  /// Caller holds db_mu_ exclusive.
+  /// Caller holds db_mu_.
   StatementResult ExecuteExplain(Session* s, const Statement& st);
   Result<InstanceId> Resolve(Session* s, const Target& t);
 
@@ -409,11 +401,9 @@ class Executor {
   std::unique_ptr<obs::Watchdog> watchdog_;
   std::unique_ptr<obs::Sampler> sampler_;
 
-  /// THE statement lock: all Database access goes through it. Mutating
-  /// statements hold it exclusively; read-only statements hold it shared
-  /// and use the Database's shared fast-path entry points. The MVCC
-  /// snapshot path deliberately does NOT take it.
-  std::shared_mutex db_mu_;
+  /// THE statement lock: all Database access goes through it, except the
+  /// MVCC snapshot path, which deliberately does NOT take it.
+  std::mutex db_mu_;
 
   /// Pins the schema catalog for snapshot readers: LoadSchema holds it
   /// exclusively (before db_mu_ — never acquire them in the other

@@ -50,7 +50,6 @@ struct SessionAccounting {
   std::atomic<uint64_t> chunks_scheduled{0};
   std::atomic<uint64_t> wal_bytes{0};
   std::atomic<uint64_t> queue_wait_us{0};
-  std::atomic<uint64_t> lock_wait_shared_us{0};
   std::atomic<uint64_t> lock_wait_excl_us{0};
   std::atomic<uint64_t> exec_us{0};
 
@@ -67,7 +66,6 @@ struct SessionAccounting {
     add(chunks_scheduled, c.chunks_scheduled);
     add(wal_bytes, c.wal_bytes);
     add(queue_wait_us, c.queue_wait_us);
-    add(lock_wait_shared_us, c.lock_wait_shared_us);
     add(lock_wait_excl_us, c.lock_wait_excl_us);
     add(exec_us, c.exec_us);
   }

@@ -43,7 +43,7 @@
 //                                            lock-free likewise
 //         | "reorganize" [POLICY]            clustering reorganisation
 //                                            (paper 2.3) under the
-//                                            exclusive lock; optional
+//                                            statement lock; optional
 //                                            POLICY (greedy_usage | dstc
 //                                            | typegraph) selects the
 //                                            cluster::Policy first.
@@ -128,16 +128,16 @@ struct Statement {
   int64_t count = 1;       // fetch N; metrics history N (0 = whole ring)
 };
 
-/// True for statements the executor may run under the *shared* side of
-/// its statement lock: they never mutate database state through the fast
-/// path (get/peek answer only from cached, up-to-date values; fetch only
-/// advances the session cursor). Everything else — including commit,
-/// which has its own split-phase path — requires the exclusive side.
+/// True for statements the executor routes as reads: they try the
+/// lock-free MVCC snapshot path before taking the statement lock (fetch
+/// only advances the session cursor and takes neither). Everything else
+/// — including commit, which has its own split-phase path — runs under
+/// the statement lock directly.
 inline bool IsReadOnlyStatement(const Statement& st) {
-  // `explain` inspects catalog and cache state that the shared entry
-  // points do not cover; it runs (briefly) under the exclusive side.
-  // `profile` follows its wrapped statement's routing, so profiled reads
-  // exercise — and measure — the real concurrent read path.
+  // `explain` inspects catalog and cache state that no snapshot covers;
+  // it runs (briefly) under the statement lock. `profile` follows its
+  // wrapped statement's routing, so profiled reads exercise — and
+  // measure — the real read path.
   if (st.modifier == StatementModifier::kExplain) return false;
   switch (st.kind) {
     case StatementKind::kGet:

@@ -33,15 +33,17 @@ namespace cactis::storage {
 
 /// Cumulative I/O counters; snapshot and subtract to measure a workload.
 /// The fault counters record *injected* events, not organic failures.
+/// Relaxed atomics: the WAL flush leader does I/O outside the statement
+/// lock while the metrics sampler reads these.
 struct DiskStats {
-  uint64_t reads = 0;
-  uint64_t writes = 0;
-  uint64_t allocations = 0;
-  uint64_t frees = 0;
-  uint64_t transient_errors = 0;  ///< injected retriable I/O errors
-  uint64_t torn_writes = 0;       ///< injected partial writes
-  uint64_t bit_flips = 0;         ///< injected silent corruptions
-  uint64_t crashes = 0;           ///< injected fail-stop crashes (0 or 1)
+  obs::RelaxedCounter reads;
+  obs::RelaxedCounter writes;
+  obs::RelaxedCounter allocations;
+  obs::RelaxedCounter frees;
+  obs::RelaxedCounter transient_errors;  ///< injected retriable I/O errors
+  obs::RelaxedCounter torn_writes;       ///< injected partial writes
+  obs::RelaxedCounter bit_flips;         ///< injected silent corruptions
+  obs::RelaxedCounter crashes;  ///< injected fail-stop crashes (0 or 1)
 
   /// Saturating subtraction: counters may have been reset between the two
   /// snapshots, so each field clamps at zero instead of wrapping.
@@ -76,11 +78,11 @@ struct DiskStats {
 /// writing a block bumps the corresponding counter.
 ///
 /// Block operations are internally serialized by a mutex: a WAL group-
-/// commit flush leader writes log blocks while an exclusive statement may
+/// commit flush leader writes log blocks while a statement may
 /// concurrently do buffer-pool I/O, and the two must not corrupt the
-/// directory. stats()/write_attempts()/read_attempts() return unlocked
-/// references and are only meaningful when the disk is quiescent (every
-/// caller snapshots between statements, after draining pending commits).
+/// directory. stats() is safe to read at any time; write_attempts() and
+/// read_attempts() are unlocked and only meaningful when the disk is
+/// quiescent (the crash harness reads them between operations).
 class SimulatedDisk {
  public:
   /// `block_size` is the usable bytes per block.

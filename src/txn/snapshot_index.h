@@ -11,7 +11,7 @@
 //
 // Threading model (the whole point of this file):
 //   - All mutators (Record*, TruncateAfter, Prune, SetLatestPublished)
-//     run under the database's exclusive statement lock, so they are
+//     run under the database's statement lock, so they are
 //     serialised against each other. Readers are NOT excluded.
 //   - A reader copies a chain head under a striped shared_mutex, then
 //     walks prev pointers with no lock at all: nodes are immutable once
@@ -117,7 +117,7 @@ class SnapshotIndex {
     return latest_published_.load(std::memory_order_acquire);
   }
 
-  // --- Ingest (exclusive statement lock held by the caller) ---------------
+  // --- Ingest (statement lock held by the caller) -------------------------
 
   /// A committed intrinsic write at `seq`. Dropped (not an error) when
   /// the instance has no chain: reads of such an instance miss anyway.
@@ -169,7 +169,7 @@ class SnapshotIndex {
   Lookup MembersAt(const Snapshot& snap, ClassId cls,
                    std::vector<InstanceId>* out) const;
 
-  // --- Maintenance (exclusive statement lock held by the caller) ----------
+  // --- Maintenance (statement lock held by the caller) --------------------
 
   /// Drops every node with seq > position: the redo tail was truncated
   /// (undo meta-action followed by new work) and those sequence numbers
@@ -274,7 +274,7 @@ class SnapshotIndex {
   // seq + 1 of the registered snapshot; 0 = free slot.
   std::atomic<uint64_t> slots_[kMaxSnapshots] = {};
 
-  // Mutated only under the exclusive statement lock; atomic because the
+  // Mutated only under the statement lock; atomic because the
   // metrics scrape may read it from another thread.
   std::atomic<uint64_t> coverage_floor_{0};
 

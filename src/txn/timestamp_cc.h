@@ -25,21 +25,15 @@
 // apply order. The pending mark is released when the writer stages,
 // commits without journaling, or rolls back.
 //
-// Thread model: a successful read is still a metadata *write* (it raises
-// read_ts), so concurrent read-only statements running under the shared
-// statement lock must not lose each other's updates — a lost read_ts max
-// is a serializability hole, because a later writer would be admitted at
-// a timestamp an unrecorded reader already observed past. The marks are
-// therefore atomics: CheckReadShared raises read_ts with a CAS-max loop
-// and is safe from any number of concurrent reader threads, while the
-// table's shape (growth, an entry becoming known or forgotten) is only
-// ever changed under the exclusive lock (CheckRead, CheckWrite, Ensure,
-// Forget). Stats counters are atomics for the same reason.
+// Thread model: every mark access runs under the service layer's one
+// statement lock (lock-free snapshot reads never consult the marks), so
+// the marks are plain fields. The stats counters are relaxed atomics so
+// tests and benches may read them without the lock.
 //
-// The marks live in a dense table indexed by instance id. Exclusive
-// callers pass only ids of instances that exist (the database validates
-// before checking), so the table never grows past the largest allocated
-// id; the shared path never grows it at all.
+// The marks live in a dense table indexed by instance id, grown on the
+// first check of an id. Callers pass only ids of instances that exist
+// (the database validates before checking), so the table never grows
+// past the largest allocated id.
 
 #ifndef CACTIS_TXN_TIMESTAMP_CC_H_
 #define CACTIS_TXN_TIMESTAMP_CC_H_
@@ -72,49 +66,28 @@ struct ConcurrencyStats {
   }
 };
 
-/// Outcome of a lock-free read check on the shared statement path.
-enum class SharedReadCheck {
-  kOk,               // read admitted, read_ts raised
-  kConflict,         // timestamp-order violation: abort the transaction
-  kUnknownInstance,  // no marks entry: caller must fall back to exclusive
-};
-
 class TimestampManager {
  public:
   /// Issues a fresh, strictly increasing transaction timestamp.
   uint64_t BeginTransaction() { return clock_.Tick(); }
 
-  /// Issues a timestamp without any transaction bookkeeping — used to
-  /// stamp auto-commit reads on the shared statement path.
-  uint64_t IssueTimestamp() { return clock_.Tick(); }
-
   /// Validates and records a read of `id` by a transaction with timestamp
-  /// `ts`. Conflict means the transaction must abort. Exclusive-lock only
-  /// (may create the marks entry; `id` must name an existing instance).
+  /// `ts`. Conflict means the transaction must abort. May create the
+  /// marks entry; `id` must name an existing instance.
   Status CheckRead(InstanceId id, uint64_t ts);
-
-  /// Lock-free read check for the shared statement path: never changes
-  /// the table's shape, raises read_ts with an atomic max. On kConflict the
-  /// caller is expected to retry under the exclusive lock (which recounts
-  /// the stats), so only kOk is counted here.
-  SharedReadCheck CheckReadShared(InstanceId id, uint64_t ts);
 
   /// Validates and records a write by transaction `txn` (first-updater-
   /// wins: rejects while another open, unstaged transaction holds a
-  /// pending write on `id`). Exclusive-lock only; like CheckRead, `id`
-  /// must name an existing instance.
+  /// pending write on `id`). Like CheckRead, `id` must name an existing
+  /// instance.
   Status CheckWrite(InstanceId id, uint64_t ts, uint64_t txn);
 
   /// Drops `txn`'s pending-writer mark on `id`, admitting later writers.
   /// Called when the transaction stages its commit (WAL ticket fixed),
-  /// commits without journaling, or rolls back. Exclusive-lock only.
+  /// commits without journaling, or rolls back.
   void ReleaseWrite(InstanceId id, uint64_t txn);
 
-  /// Ensures `id` has a marks entry so the shared read path never misses
-  /// it. Called at instance creation, under the exclusive lock.
-  void Ensure(InstanceId id) { Entry(id); }
-
-  /// Forgets an instance (deleted). Exclusive-lock only.
+  /// Forgets an instance (deleted).
   void Forget(InstanceId id) {
     if (id.value < marks_.size()) marks_[id.value] = Marks();
   }
@@ -134,44 +107,17 @@ class TimestampManager {
 
  private:
   struct Marks {
-    std::atomic<uint64_t> read_ts{0};
-    std::atomic<uint64_t> write_ts{0};
+    uint64_t read_ts = 0;
+    uint64_t write_ts = 0;
     // Transaction currently holding an unstaged write on this instance
-    // (0 = none). Only touched under the exclusive statement lock, like
-    // the table's shape, so a plain field suffices; the shared read path
-    // never looks at it.
+    // (0 = none).
     uint64_t pending_txn = 0;
-    // Whether the entry exists (a slot below the table's end may belong
-    // to an id never checked or since forgotten).
-    bool known = false;
-
-    Marks() = default;
-    // Moves and assignments happen only when the table grows or an
-    // entry is reset, both under the exclusive lock with no reader
-    // running, so plain loads and stores of the atomics suffice.
-    Marks(Marks&& o) noexcept
-        : read_ts(o.read_ts.load(std::memory_order_relaxed)),
-          write_ts(o.write_ts.load(std::memory_order_relaxed)),
-          pending_txn(o.pending_txn),
-          known(o.known) {}
-    Marks& operator=(Marks&& o) noexcept {
-      read_ts.store(o.read_ts.load(std::memory_order_relaxed),
-                    std::memory_order_relaxed);
-      write_ts.store(o.write_ts.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-      pending_txn = o.pending_txn;
-      known = o.known;
-      return *this;
-    }
   };
 
-  /// The entry for `id`, created (and the table grown) if needed.
-  /// Exclusive-lock only.
+  /// The entry for `id`, growing the table to it if needed.
   Marks& Entry(InstanceId id) {
     if (id.value >= marks_.size()) marks_.resize(id.value + 1);
-    Marks& m = marks_[id.value];
-    m.known = true;
-    return m;
+    return marks_[id.value];
   }
 
   LogicalClock clock_;

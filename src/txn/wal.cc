@@ -285,8 +285,8 @@ uint64_t WriteAheadLog::Stage(const WalEvent& event) {
   std::lock_guard<std::mutex> lk(group_mu_);
   entry.ticket = ++next_ticket_;
   if (trace_) {
-    // The trace sink is not thread-safe; Stage runs under the exclusive
-    // statement lock, so record here rather than at flush time. The
+    // The trace sink is not thread-safe; Stage runs under the statement
+    // lock, so record here rather than at flush time. The
     // subject is the ticket (== the platter seq in single-threaded runs).
     trace_->Record(obs::SpanKind::kWalAppend, entry.ticket,
                    entry.payload.size());

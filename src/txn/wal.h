@@ -122,24 +122,26 @@ Result<TransactionDelta> DecodeDelta(BinaryReader* r);
 std::string EncodeEvent(const WalEvent& event);
 Result<WalEvent> DecodeEvent(std::string_view bytes);
 
+/// Relaxed atomics: the flush leader counts outside the statement lock
+/// while the metrics sampler reads these.
 struct WalStats {
   static constexpr size_t kBatchSizeBuckets = 16;
 
-  uint64_t entries_appended = 0;
-  uint64_t blocks_written = 0;  ///< WAL block writes (the E-metric overhead)
-  uint64_t bytes_logged = 0;
-  uint64_t group_batches = 0;          ///< flushes (one chained write each)
-  uint64_t group_batched_entries = 0;  ///< events carried by those flushes
-  uint64_t retries = 0;        ///< transient write faults retried in place
-  uint64_t give_ups = 0;       ///< retry budgets exhausted (flush failed)
-  uint64_t backoff_us = 0;     ///< total time slept between retries
-  uint64_t wedged_flushes = 0; ///< flushes refused while the log was wedged
-  uint64_t truncated_entries = 0;  ///< entries dropped by TruncateBefore
-  uint64_t truncated_blocks = 0;   ///< blocks freed by TruncateBefore
-  uint64_t salvaged_tail_bytes = 0;  ///< damaged tail bytes discarded by scan
+  obs::RelaxedCounter entries_appended;
+  obs::RelaxedCounter blocks_written;  ///< WAL block writes (E-metric cost)
+  obs::RelaxedCounter bytes_logged;
+  obs::RelaxedCounter group_batches;  ///< flushes (one chained write each)
+  obs::RelaxedCounter group_batched_entries;  ///< events in those flushes
+  obs::RelaxedCounter retries;   ///< transient write faults retried in place
+  obs::RelaxedCounter give_ups;  ///< retry budgets exhausted (flush failed)
+  obs::RelaxedCounter backoff_us;      ///< total time slept between retries
+  obs::RelaxedCounter wedged_flushes;  ///< flushes refused while wedged
+  obs::RelaxedCounter truncated_entries;  ///< entries dropped by TruncateBefore
+  obs::RelaxedCounter truncated_blocks;   ///< blocks freed by TruncateBefore
+  obs::RelaxedCounter salvaged_tail_bytes;  ///< damaged tail bytes discarded
   /// Power-of-two batch-size histogram, same convention as obs::Histogram:
   /// bucket i >= 1 counts flushes of [2^(i-1), 2^i) entries.
-  uint64_t batch_size_buckets[kBatchSizeBuckets] = {};
+  obs::RelaxedCounter batch_size_buckets[kBatchSizeBuckets];
 
   void ExportTo(obs::MetricsGroup* g) const {
     g->AddCounter("entries_appended", entries_appended);
@@ -204,7 +206,7 @@ class WriteAheadLog {
   // is byte-identical to a classic Append). Followers sleep on a
   // condition variable until the leader broadcasts the commit ack.
   //
-  // Stage must run under the database's exclusive statement lock (it
+  // Stage must run under the database's statement lock (it
   // orders tickets against the in-memory commit order); WaitDurable must
   // NOT hold that lock, so readers and other writers proceed while the
   // leader is on the disk. A failed flush records a per-ticket failure
@@ -214,7 +216,7 @@ class WriteAheadLog {
 
   /// Encodes and enqueues one event; returns its commit ticket. Tickets
   /// are issued in WAL order: callers must invoke Stage in the order the
-  /// events must appear on the platter (i.e. under the exclusive lock).
+  /// events must appear on the platter (i.e. under the statement lock).
   uint64_t Stage(const WalEvent& event);
 
   /// Blocks until the ticket's batch is flushed; returns the flush
@@ -236,7 +238,7 @@ class WriteAheadLog {
   void ClearWedge();
 
   /// Blocks until no flush is running and nothing is staged. Callers
-  /// hold the exclusive statement lock, so no new Stage can race in.
+  /// hold the statement lock, so no new Stage can race in.
   void WaitIdle();
 
   /// Highest ticket whose flush has completed (successfully or not).
@@ -247,14 +249,14 @@ class WriteAheadLog {
   /// The block the next entry's first chunk will land in (pre-allocated,
   /// never yet written) and the sequence number it will carry. Together
   /// they are the resume point a checkpoint records. Callers hold the
-  /// exclusive statement lock with the log idle.
+  /// statement lock with the log idle.
   BlockId tail_block() const { return tail_block_; }
   uint64_t next_seq() const { return next_seq_; }
 
   /// Frees the blocks of every sealed entry with seq < `before_seq`
   /// (checkpoint truncation: those entries are covered by the checkpoint
   /// image and will never be replayed). Counted in WalStats. Caller holds
-  /// the exclusive statement lock and has called WaitIdle(), so no flush
+  /// the statement lock and has called WaitIdle(), so no flush
   /// leader is touching the chain.
   Status TruncateBefore(uint64_t before_seq);
 
@@ -303,7 +305,8 @@ class WriteAheadLog {
 
   /// Writes `batch` as one chained log entry. Leader-only (at most one
   /// caller at a time, enforced by flush_in_progress_); holds no locks,
-  /// so tail_block_/next_seq_/stats_ are leader-private while it runs.
+  /// so tail_block_/next_seq_ are leader-private while it runs (stats_
+  /// counters are atomic: the metrics sampler may read them meanwhile).
   Status WriteBatch(const std::vector<StagedEntry>& batch);
 
   /// Writes one framed block, retrying transient faults with bounded
@@ -318,7 +321,7 @@ class WriteAheadLog {
   BackoffPolicy retry_policy_;
   /// Chunk blocks of each sealed entry, oldest first, for TruncateBefore.
   /// Leader-private (appended by WriteBatch, drained by TruncateBefore
-  /// under the exclusive lock with the log idle).
+  /// under the statement lock with the log idle).
   std::deque<std::pair<uint64_t, std::vector<BlockId>>> entry_blocks_;
   obs::TraceSink* trace_ = nullptr;
 

@@ -457,6 +457,63 @@ TEST(ServerThreadedTest, WorkersServeRequests) {
   exec.Shutdown();
 }
 
+// Every read lands in one of two tiers: the lock-free snapshot path or
+// the statement lock. Reads no snapshot can answer — an up-to-date,
+// subscribed derived attribute, subtype members, a read inside a
+// transaction — run under the statement lock (counted in
+// fast_path_fallbacks) with their usual answers; the retired shared tier
+// (fast_path_reads) answers nothing.
+TEST(ServerRoutingTest, ReadsTheSnapshotCannotAnswerRunUnderTheLock) {
+  core::Database db;
+  ASSERT_TRUE(db.LoadSchema(R"(
+    object class counter is
+      attributes
+        v : int;
+        twice : int;
+      rules
+        twice = v * 2;
+    end object;
+    subtype big of counter where v > 10;
+  )")
+                  .ok());
+  ServerOptions opts;
+  opts.num_workers = 0;
+  Executor exec(&db, opts);
+  LoopbackTransport client(&exec);
+  auto s = *client.Connect();
+  auto call = [&](std::string_view text) {
+    auto fut = client.Submit(s, text);
+    while (exec.RunOne()) {
+    }
+    return fut.get();
+  };
+  ASSERT_TRUE(call("create counter as c; create counter as d").ok());
+  ASSERT_TRUE(call("set c.v = 21").ok());
+  // The first get subscribes the derived attribute and brings it up to
+  // date, so the cached value could answer the reads below.
+  Response first = call("get c.twice");
+  ASSERT_TRUE(first.ok()) << first.payload;
+  EXPECT_EQ(first.payload, "42");
+  ASSERT_TRUE(call("members big").ok());
+
+  const ServerStats& st = exec.stats();
+  auto expect_locked = [&](std::string_view stmt, std::string_view payload) {
+    const uint64_t fallbacks = st.fast_path_fallbacks.load();
+    const uint64_t snapshots = st.snapshot_reads.load();
+    Response r = call(stmt);
+    ASSERT_TRUE(r.ok()) << stmt << ": " << r.payload;
+    EXPECT_EQ(r.payload, payload) << stmt;
+    EXPECT_EQ(st.fast_path_fallbacks.load(), fallbacks + 1) << stmt;
+    EXPECT_EQ(st.snapshot_reads.load(), snapshots) << stmt;
+  };
+  expect_locked("get c.twice", "42");
+  expect_locked("members big", "count=1");
+  ASSERT_TRUE(call("begin").ok());
+  expect_locked("get c.v", "21");
+  ASSERT_TRUE(call("commit").ok());
+  EXPECT_EQ(st.fast_path_reads.load(), 0u);
+}
+
 TEST(StatementTest, SplitStatementsHandlesQuotesAndComments) {
   auto parts = SplitStatements(
       "set x.label = \"a;b\"; -- trailing comment\n"

@@ -372,12 +372,13 @@ TEST(SnapshotServerTest, InTransactionReadsStillUseConcurrencyControl) {
   server::LoopbackTransport client(&exec);
 
   auto s = *client.Connect();
-  auto call = [&](const std::string& text) {
-    auto fut = client.Submit(s, text);
+  auto call_on = [&](SessionId session, const std::string& text) {
+    auto fut = client.Submit(session, text);
     while (exec.RunOne()) {
     }
     return fut.get();
   };
+  auto call = [&](const std::string& text) { return call_on(s, text); };
   auto id = MustParseObj(call("create counter as c").payload);
   const std::string obj = "obj(" + std::to_string(id.value) + ")";
   ASSERT_TRUE(call("set " + obj + ".v = 1").ok());
@@ -392,6 +393,17 @@ TEST(SnapshotServerTest, InTransactionReadsStillUseConcurrencyControl) {
   EXPECT_EQ(r.payload, "2");
   EXPECT_EQ(exec.stats().snapshot_reads.load(), before);
   ASSERT_TRUE(call("commit").ok());
+
+  // A conflicting in-transaction read still aborts: a transaction that
+  // began before a newer write committed may not read past it.
+  auto old_session = *client.Connect();
+  ASSERT_TRUE(call_on(old_session, "begin").ok());
+  ASSERT_TRUE(call("set " + obj + ".v = 10").ok());
+  const uint64_t conflicts = exec.stats().txn_conflicts.load();
+  r = call_on(old_session, "get " + obj + ".v");
+  EXPECT_EQ(r.status, server::ResponseStatus::kAborted) << r.payload;
+  EXPECT_EQ(exec.stats().txn_conflicts.load(), conflicts + 1);
+  EXPECT_EQ(exec.stats().snapshot_reads.load(), before);
   exec.Shutdown();
 }
 

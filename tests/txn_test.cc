@@ -202,5 +202,33 @@ TEST(TimestampManagerTest, UnitRules) {
   EXPECT_TRUE(tsm.CheckWrite(x, t1, 1).ok());
 }
 
+// The read mark keeps the maximum of every admitted read, whatever order
+// the readers arrive in: after interleaved reads with timestamps 1..N,
+// a writer older than the newest read must conflict and a newer one be
+// admitted. A lost max would let a stale writer slip underneath a read
+// that already observed past it.
+TEST(TimestampManagerTest, ReadMarksKeepTheMax) {
+  txn::TimestampManager tsm;
+  const InstanceId id(7);
+  constexpr uint64_t kReaders = 8;
+  constexpr uint64_t kPerReader = 500;
+  // Reader r issues timestamps r+1, r+1+kReaders, ...; visiting the
+  // readers back to front each round makes every round's reads arrive in
+  // descending order, so the mark is both raised and left alone.
+  for (uint64_t i = 0; i < kPerReader; ++i) {
+    for (uint64_t r = kReaders; r-- > 0;) {
+      EXPECT_TRUE(tsm.CheckRead(id, i * kReaders + r + 1).ok());
+    }
+  }
+  const uint64_t max_ts = kPerReader * kReaders;
+  EXPECT_EQ(tsm.stats().reads_checked, max_ts);
+  EXPECT_EQ(tsm.stats().read_rejections, 0u);
+  // Any writer older than the newest read must be rejected...
+  EXPECT_TRUE(tsm.CheckWrite(id, max_ts - 1, 1).IsConflict());
+  EXPECT_TRUE(tsm.CheckWrite(id, 1, 2).IsConflict());
+  // ...and a newer writer admitted.
+  EXPECT_TRUE(tsm.CheckWrite(id, max_ts + 1, 3).ok());
+}
+
 }  // namespace
 }  // namespace cactis::core
