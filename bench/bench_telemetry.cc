@@ -277,8 +277,9 @@ int main() {
           return RunServed(workers, served_ops, true, workers == 4 && last);
         });
     uint64_t ratio = RatioX100(r.ratio);
-    table.AddRow({"w" + std::to_string(workers) + " served", Num(r.off),
-                  Num(r.on), Num(ratio) + "%"});
+    std::string label = "w";
+    label.append(std::to_string(workers)).append(" served");
+    table.AddRow({label, Num(r.off), Num(r.on), Num(ratio) + "%"});
     report.SetCounter(
         "e17_overhead_ratio_x100_w" + std::to_string(workers), ratio);
   }

@@ -185,7 +185,7 @@ class RemoteBackend : public Backend {
     // `metrics history` is a plain statement; ask the server over the wire.
     std::string stmt = "metrics history";
     if (!group.empty()) stmt += " " + group;
-    if (n > 0) stmt += " " + std::to_string(n);
+    if (n > 0) stmt.append(" ").append(std::to_string(n));
     return Call(0, stmt).payload;
   }
   std::string Alerts() override { return Call(0, "alerts").payload; }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
-#include <map>
 #include <unordered_set>
 
 #include "lang/interpreter.h"
@@ -185,13 +184,7 @@ Database::~Database() = default;
 
 Status Database::LoadSchema(std::string_view source) {
   CACTIS_SERIAL_GUARD(serial_guard_);
-  CACTIS_RETURN_IF_ERROR(schema::LoadSchema(&catalog_, source).status());
-  // Open a membership chain per class so an empty extent is provable on
-  // the snapshot path ("no members" vs "never tracked").
-  for (const schema::ObjectClass* cls : catalog_.AllClasses()) {
-    snapshots_.EnsureMembership(cls->id());
-  }
-  return Status::OK();
+  return schema::LoadSchema(&catalog_, source).status();
 }
 
 
@@ -582,8 +575,7 @@ uint64_t Database::AppendCommitted(txn::TransactionDelta delta) {
 }
 
 void Database::IngestDeltaIntoSnapshots(const txn::TransactionDelta& delta,
-                                        uint64_t seq,
-                                        bool track_membership) {
+                                        uint64_t seq) {
   for (const txn::DeltaRecord& r : delta.records) {
     switch (r.op) {
       case txn::DeltaOp::kSetAttr:
@@ -595,12 +587,11 @@ void Database::IngestDeltaIntoSnapshots(const txn::TransactionDelta& delta,
         const schema::ObjectClass* cls = catalog_.GetClass(r.class_id);
         if (cls == nullptr) break;  // unknown class: reads will fall back
         snapshots_.RecordCreate(r.instance, seq, r.class_id,
-                                IntrinsicDefaults(*cls), track_membership);
+                                IntrinsicDefaults(*cls));
         break;
       }
       case txn::DeltaOp::kDelete:
-        snapshots_.RecordDelete(r.instance, seq, r.class_id,
-                                track_membership);
+        snapshots_.RecordDelete(r.instance, seq);
         break;
       case txn::DeltaOp::kConnect:
       case txn::DeltaOp::kDisconnect:
@@ -1174,48 +1165,35 @@ Status Database::LoadCheckpointImage(const txn::CheckpointImage& image) {
 
   // Rebuild the snapshot index. Three layers, pushed in ascending
   // sequence order so chain walks stay newest-first:
-  //   1. retained pre-position deltas — attribute chains only: class
-  //      extents below the position are unknowable (pre-base creates and
-  //      deletes were pruned), so membership is not tracked here and
-  //      reads below the position miss into the locked paths;
-  //   2. a full intrinsic base per live instance, plus the seeded class
-  //      extents, all AT the position;
+  //   1. retained pre-position deltas (reads below the position miss on
+  //      the coverage floor: pre-base creates and deletes were pruned);
+  //   2. a full intrinsic base per live instance AT the position, which
+  //      is what class extents from the position on are derived from;
   //   3. the retained redo tail (> position), visible only after a
   //      checkout-forward republishes a higher sequence.
   snapshots_.Reset();
   snapshots_.SetCoverageFloor(image.position);
   for (const txn::TransactionDelta& d : versions_.history()) {
     if (d.commit_seq > image.position) break;
-    IngestDeltaIntoSnapshots(d, d.commit_seq, /*track_membership=*/false);
+    IngestDeltaIntoSnapshots(d, d.commit_seq);
   }
   std::unordered_map<InstanceId, std::vector<std::pair<size_t, Value>>>
       base_attrs;
   std::unordered_map<InstanceId, ClassId> base_class;
-  std::map<ClassId, std::vector<InstanceId>> extents;
   for (const txn::DeltaRecord& r : image.bootstrap.records) {
     if (r.op == txn::DeltaOp::kCreate) {
       base_class[r.instance] = r.class_id;
-      extents[r.class_id].push_back(r.instance);
     } else if (r.op == txn::DeltaOp::kSetAttr) {
       base_attrs[r.instance].emplace_back(r.attr_index, r.new_value);
     }
   }
   for (auto& [id, cls_id] : base_class) {
-    snapshots_.RecordBase(id, image.position, cls_id,
-                          std::move(base_attrs[id]));
-  }
-  for (auto& [cls_id, members] : extents) {
-    std::sort(members.begin(), members.end());
-    snapshots_.SeedMembership(cls_id, image.position, std::move(members));
-  }
-  // Classes with an empty extent at the position are provably empty from
-  // here on (LoadSchema's chains were wiped by the Reset above).
-  for (const schema::ObjectClass* cls : catalog_.AllClasses()) {
-    snapshots_.EnsureMembership(cls->id());
+    snapshots_.RecordCreate(id, image.position, cls_id,
+                            std::move(base_attrs[id]));
   }
   for (const txn::TransactionDelta& d : versions_.history()) {
     if (d.commit_seq <= image.position) continue;
-    IngestDeltaIntoSnapshots(d, d.commit_seq, /*track_membership=*/true);
+    IngestDeltaIntoSnapshots(d, d.commit_seq);
   }
   snapshots_.SetLatestPublished(image.position);
   return Status::OK();

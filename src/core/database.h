@@ -696,9 +696,9 @@ class Database {
   uint64_t AppendCommitted(txn::TransactionDelta delta);
   /// Mirrors one committed delta's records into the snapshot index.
   void IngestDeltaIntoSnapshots(const txn::TransactionDelta& delta,
-                                uint64_t seq, bool track_membership = true);
-  /// Full intrinsic default state of a fresh `cls` instance (kCreate
-  /// chain nodes).
+                                uint64_t seq);
+  /// Full intrinsic default state of a fresh `cls` instance (the base
+  /// node a creation opens its snapshot chain with).
   static std::vector<std::pair<size_t, Value>> IntrinsicDefaults(
       const schema::ObjectClass& cls);
   void MaybePruneVersions();

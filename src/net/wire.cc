@@ -449,12 +449,6 @@ std::string EncodeRequestPayload(const RequestPayload& request) {
   return out;
 }
 
-std::string EncodeRequestPayload(const std::vector<std::string>& statements) {
-  RequestPayload request;
-  request.statements = statements;
-  return EncodeRequestPayload(request);
-}
-
 Result<RequestPayload> DecodeRequestPayload(std::string_view payload) {
   Cursor c(payload);
   RequestPayload request;

@@ -229,7 +229,6 @@ struct RequestPayload {
 /// (u64 trace id, then length-prefixed statements so they may contain
 /// any bytes).
 std::string EncodeRequestPayload(const RequestPayload& request);
-std::string EncodeRequestPayload(const std::vector<std::string>& statements);
 
 /// Decodes a kRequest frame payload. Malformed bytes yield a Status
 /// (mapped to kBadFrame on the wire).

@@ -841,11 +841,15 @@ StatementResult Executor::ExecuteReadStatement(Session* s, Statement* st) {
 
 std::optional<StatementResult> Executor::TryExecuteReadSnapshot(Session* s,
                                                                 Statement* st) {
-  // Eligible: auto-commit reads only. A `get` inside an open transaction
-  // must see the transaction's own uncommitted writes and take part in
-  // concurrency control; `members` needs subtype predicates, which are
-  // derived and never chained. Ineligible statements return nullopt
-  // without counting a snapshot fallback.
+  // Eligible: auto-commit reads only. A `get`, `instances` or `select`
+  // inside an open transaction must see the transaction's own
+  // uncommitted writes; `peek` is auto-commit by definition, even inside
+  // one. `members` needs subtype predicates, which are derived and never
+  // chained. Ineligible statements return nullopt without counting a
+  // snapshot fallback.
+  if (s->txn != nullptr && st->kind != StatementKind::kPeek) {
+    return std::nullopt;
+  }
   StatementResult r;
   // Miss on an eligible statement: record the fallback, then run it
   // under the statement lock.
@@ -856,9 +860,6 @@ std::optional<StatementResult> Executor::TryExecuteReadSnapshot(Session* s,
   switch (st->kind) {
     case StatementKind::kGet:
     case StatementKind::kPeek: {
-      if (st->kind == StatementKind::kGet && s->txn != nullptr) {
-        return std::nullopt;
-      }
       auto id = Resolve(s, st->a);
       if (!id.ok()) {
         r.status = id.status();
@@ -1087,23 +1088,6 @@ StatementResult Executor::ExecuteStatement(Session* s, Statement* st) {
       r.payload = "ts=" + std::to_string(s->last_ts);
       break;
     }
-    case StatementKind::kCommit: {
-      if (txn == nullptr) {
-        r.status = Status::InvalidArgument("no open transaction");
-        break;
-      }
-      Status status = txn->Commit();
-      s->txn.reset();
-      if (status.ok()) {
-        ++s->commits;
-        r.payload = "committed";
-        r.status = status;
-      } else {
-        ++s->aborts;
-        r.status = status;
-      }
-      break;
-    }
     case StatementKind::kAbort: {
       if (txn == nullptr) {
         r.status = Status::InvalidArgument("no open transaction");
@@ -1263,36 +1247,6 @@ StatementResult Executor::ExecuteStatement(Session* s, Statement* st) {
       r.payload = "count=" + std::to_string(s->cursor.size());
       break;
     }
-    case StatementKind::kFetch: {
-      if (s->cursor_pos >= s->cursor.size()) {
-        r.payload = "end";
-        break;
-      }
-      size_t take = std::min(static_cast<size_t>(st->count),
-                             s->cursor.size() - s->cursor_pos);
-      for (size_t i = 0; i < take; ++i) {
-        if (i > 0) r.payload += ' ';
-        r.payload += FormatInstance(s->cursor[s->cursor_pos + i]);
-      }
-      s->cursor_pos += take;
-      break;
-    }
-    case StatementKind::kHealth: {
-      // Normally short-circuited lock-free in Process(); kept here so a
-      // direct call still answers.
-      r.payload = HealthJson();
-      break;
-    }
-    case StatementKind::kMetricsHistory: {
-      // Same: Process() short-circuits these lock-free.
-      r.payload =
-          MetricsHistoryJson(st->class_name, static_cast<size_t>(st->count));
-      break;
-    }
-    case StatementKind::kAlerts: {
-      r.payload = AlertsJson();
-      break;
-    }
     case StatementKind::kReorganize: {
       if (!st->class_name.empty()) {
         auto kind = cluster::PolicyKindFromName(st->class_name);
@@ -1329,6 +1283,13 @@ StatementResult Executor::ExecuteStatement(Session* s, Statement* st) {
       r.payload = w.str();
       break;
     }
+    default:
+      // commit, fetch, health, metrics history and alerts are answered in
+      // Process() before the statement lock is taken.
+      r.status = Status::Internal(std::string("statement '") +
+                                  std::string(StatementKindName(st->kind)) +
+                                  "' is not executed under the lock");
+      break;
   }
   return r;
 }

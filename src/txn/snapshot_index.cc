@@ -68,46 +68,31 @@ SnapshotIndex::NodePtr SnapshotIndex::HeadOf(InstanceId id) const {
 void SnapshotIndex::PushNode(InstanceId id, VersionNode node) {
   Stripe& s = StripeFor(id);
   std::unique_lock lock(s.mu);
-  NodePtr& head = s.heads[id];
-  node.prev = head;
-  head = std::make_shared<const VersionNode>(std::move(node));
+  auto it = s.heads.find(id);
+  if (it == s.heads.end()) {
+    // Only a base node opens a chain. Without one the creation itself is
+    // unproven (an instance created before the index's coverage); reads
+    // of it miss, so the node may be dropped without losing correctness.
+    if (node.kind != NodeKind::kBase) return;
+    it = s.heads.emplace(id, nullptr).first;
+  }
+  node.prev = std::move(it->second);
+  it->second = std::make_shared<const VersionNode>(std::move(node));
   chain_nodes_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void SnapshotIndex::RecordWrite(InstanceId id, uint64_t seq,
                                 size_t attr_index, Value v) {
-  Stripe& s = StripeFor(id);
-  std::unique_lock lock(s.mu);
-  auto it = s.heads.find(id);
-  // No chain means the creation itself is unproven (pre-index instance or
-  // defensively dropped); reads of it miss, so the write may be dropped
-  // without losing correctness.
-  if (it == s.heads.end()) return;
   VersionNode node;
   node.seq = seq;
   node.kind = NodeKind::kWrite;
   node.attrs.emplace_back(attr_index, std::move(v));
-  node.prev = it->second;
-  it->second = std::make_shared<const VersionNode>(std::move(node));
-  chain_nodes_.fetch_add(1, std::memory_order_relaxed);
+  PushNode(id, std::move(node));
 }
 
 void SnapshotIndex::RecordCreate(InstanceId id, uint64_t seq, ClassId cls,
                                  std::vector<std::pair<size_t, Value>>
-                                     intrinsics,
-                                 bool track_membership) {
-  VersionNode node;
-  node.seq = seq;
-  node.kind = NodeKind::kCreate;
-  node.class_id = cls;
-  node.attrs = std::move(intrinsics);
-  PushNode(id, std::move(node));
-  if (track_membership) MutateMembership(cls, seq, id, /*add=*/true);
-}
-
-void SnapshotIndex::RecordBase(InstanceId id, uint64_t seq, ClassId cls,
-                               std::vector<std::pair<size_t, Value>>
-                                   intrinsics) {
+                                     intrinsics) {
   VersionNode node;
   node.seq = seq;
   node.kind = NodeKind::kBase;
@@ -116,80 +101,11 @@ void SnapshotIndex::RecordBase(InstanceId id, uint64_t seq, ClassId cls,
   PushNode(id, std::move(node));
 }
 
-void SnapshotIndex::RecordDelete(InstanceId id, uint64_t seq, ClassId cls,
-                                 bool track_membership) {
-  Stripe& s = StripeFor(id);
-  {
-    std::unique_lock lock(s.mu);
-    auto it = s.heads.find(id);
-    if (it != s.heads.end()) {
-      VersionNode node;
-      node.seq = seq;
-      node.kind = NodeKind::kDelete;
-      node.prev = it->second;
-      it->second = std::make_shared<const VersionNode>(std::move(node));
-      chain_nodes_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  if (track_membership) MutateMembership(cls, seq, id, /*add=*/false);
-}
-
-void SnapshotIndex::SeedMembership(ClassId cls, uint64_t seq,
-                                   std::vector<InstanceId> members) {
-  std::unique_lock lock(members_mu_);
-  auto node = std::make_shared<MemberNode>();
-  node->seq = seq;
-  node->members =
-      std::make_shared<const std::vector<InstanceId>>(std::move(members));
-  member_heads_[cls] = std::move(node);
-  member_nodes_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void SnapshotIndex::EnsureMembership(ClassId cls) {
-  std::unique_lock lock(members_mu_);
-  MemberPtr& head = member_heads_[cls];
-  if (head != nullptr) return;
-  auto node = std::make_shared<MemberNode>();
-  node->seq = coverage_floor();
-  node->members = std::make_shared<const std::vector<InstanceId>>();
-  head = std::move(node);
-  member_nodes_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void SnapshotIndex::MutateMembership(ClassId cls, uint64_t seq, InstanceId id,
-                                     bool add) {
-  std::unique_lock lock(members_mu_);
-  MemberPtr& head = member_heads_[cls];
-  if (head == nullptr) {
-    if (!add) return;
-    // Lazily opened extent: its genesis (provably empty) sits at the
-    // coverage floor, because the index has observed every committed
-    // create since then.
-    auto genesis = std::make_shared<MemberNode>();
-    genesis->seq = coverage_floor();
-    genesis->members = std::make_shared<const std::vector<InstanceId>>();
-    head = std::move(genesis);
-    member_nodes_.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (head->members == nullptr) return;  // tracking disabled; stays so
-  std::vector<InstanceId> next(*head->members);
-  if (add) {
-    auto pos = std::lower_bound(next.begin(), next.end(), id);
-    if (pos == next.end() || *pos != id) next.insert(pos, id);
-  } else {
-    auto pos = std::lower_bound(next.begin(), next.end(), id);
-    if (pos == next.end() || *pos != id) return;  // nothing to remove
-    next.erase(pos);
-  }
-  auto node = std::make_shared<MemberNode>();
-  node->seq = seq;
-  node->members =
-      next.size() > kMaxChainedMembers
-          ? nullptr  // extent outgrew tracking: disable, readers fall back
-          : std::make_shared<const std::vector<InstanceId>>(std::move(next));
-  node->prev = head;
-  head = std::move(node);
-  member_nodes_.fetch_add(1, std::memory_order_relaxed);
+void SnapshotIndex::RecordDelete(InstanceId id, uint64_t seq) {
+  VersionNode node;
+  node.seq = seq;
+  node.kind = NodeKind::kDelete;
+  PushNode(id, std::move(node));
 }
 
 // --- Reader side -------------------------------------------------------------
@@ -215,12 +131,27 @@ SnapshotIndex::Lookup SnapshotIndex::ReadAttr(const Snapshot& snap,
         return Lookup::kHit;
       }
     }
-    // A base/create node carries the full intrinsic state: absence there
-    // means the attribute is derived or unknown — unprovable here.
-    if (n->kind != NodeKind::kWrite) break;
+    // A base node carries the full intrinsic state: absence there means
+    // the attribute is derived or unknown — unprovable here.
+    if (n->kind == NodeKind::kBase) break;
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
   return Lookup::kMiss;
+}
+
+bool SnapshotIndex::ClassOfChain(const NodePtr& head, uint64_t snap_seq,
+                                 ClassId* out) {
+  bool newest = true;
+  for (const VersionNode* n = head.get(); n != nullptr; n = n->prev.get()) {
+    if (n->seq > snap_seq) continue;
+    if (newest && n->kind == NodeKind::kDelete) return false;
+    newest = false;
+    if (n->kind == NodeKind::kBase) {
+      *out = n->class_id;
+      return true;
+    }
+  }
+  return false;
 }
 
 SnapshotIndex::Lookup SnapshotIndex::ClassAt(const Snapshot& snap,
@@ -229,43 +160,44 @@ SnapshotIndex::Lookup SnapshotIndex::ClassAt(const Snapshot& snap,
   if (epoch_.load(std::memory_order_acquire) != snap.epoch()) {
     return Lookup::kMiss;
   }
-  bool newest = true;
-  for (NodePtr n = HeadOf(id); n != nullptr; n = n->prev) {
-    if (n->seq > snap.seq()) continue;
-    if (newest && n->kind == NodeKind::kDelete) break;
-    newest = false;
-    if (n->kind == NodeKind::kBase || n->kind == NodeKind::kCreate) {
-      *out = n->class_id;
-      if (epoch_.load(std::memory_order_acquire) != snap.epoch()) break;
-      return Lookup::kHit;
-    }
+  if (!ClassOfChain(HeadOf(id), snap.seq(), out) ||
+      epoch_.load(std::memory_order_acquire) != snap.epoch()) {
+    return Lookup::kMiss;
   }
-  return Lookup::kMiss;
+  return Lookup::kHit;
 }
 
 SnapshotIndex::Lookup SnapshotIndex::MembersAt(
     const Snapshot& snap, ClassId cls, std::vector<InstanceId>* out) const {
-  if (epoch_.load(std::memory_order_acquire) != snap.epoch()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return Lookup::kMiss;
-  }
-  MemberPtr head = MemberHeadOf(cls);
-  for (MemberPtr n = head; n != nullptr; n = n->prev) {
-    if (n->seq > snap.seq()) continue;
-    if (n->members == nullptr) break;  // tracking disabled at S
-    *out = *n->members;
-    if (epoch_.load(std::memory_order_acquire) != snap.epoch()) break;
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return Lookup::kHit;
+  // Below the coverage floor, folds and dropped chains no longer show
+  // who was live at S, so the extent is unprovable. A truncation or a
+  // prune past S that overlaps the scan is caught by the re-checks after
+  // it: each bumps the epoch or raises the floor before touching the
+  // first stripe, and a stripe lock taken after that publishes the bump.
+  auto covered = [&] {
+    return epoch_.load(std::memory_order_acquire) == snap.epoch() &&
+           snap.seq() >= coverage_floor();
+  };
+  if (covered()) {
+    std::vector<InstanceId> members;
+    for (const Stripe& s : stripes_) {
+      std::shared_lock lock(s.mu);
+      for (const auto& [id, head] : s.heads) {
+        ClassId at;
+        if (ClassOfChain(head, snap.seq(), &at) && at == cls) {
+          members.push_back(id);
+        }
+      }
+    }
+    if (covered()) {
+      std::sort(members.begin(), members.end());
+      *out = std::move(members);
+      hits_.fetch_add(1, std::memory_order_relaxed);
+      return Lookup::kHit;
+    }
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
   return Lookup::kMiss;
-}
-
-SnapshotIndex::MemberPtr SnapshotIndex::MemberHeadOf(ClassId cls) const {
-  std::shared_lock lock(members_mu_);
-  auto it = member_heads_.find(cls);
-  return it == member_heads_.end() ? nullptr : it->second;
 }
 
 // --- Maintenance -------------------------------------------------------------
@@ -292,22 +224,6 @@ void SnapshotIndex::TruncateAfter(uint64_t position) {
       }
     }
   }
-  std::unique_lock lock(members_mu_);
-  for (auto it = member_heads_.begin(); it != member_heads_.end();) {
-    MemberPtr n = it->second;
-    uint64_t dropped = 0;
-    while (n != nullptr && n->seq > position) {
-      n = n->prev;
-      ++dropped;
-    }
-    if (dropped > 0) member_nodes_.fetch_sub(dropped);
-    if (n == nullptr) {
-      it = member_heads_.erase(it);
-    } else {
-      it->second = std::move(n);
-      ++it;
-    }
-  }
 }
 
 void SnapshotIndex::Prune(uint64_t floor) {
@@ -323,56 +239,44 @@ void SnapshotIndex::Prune(uint64_t floor) {
         n = n->prev;
       }
       // Already a lone base at or below the floor: nothing to fold.
-      if (n == nullptr || (n->prev == nullptr && n->kind != NodeKind::kWrite &&
-                           n->kind != NodeKind::kDelete)) {
+      if (n == nullptr ||
+          (n->prev == nullptr && n->kind == NodeKind::kBase)) {
         ++it;
         continue;
       }
       uint64_t old_len = retained.size();
       for (NodePtr w = n; w != nullptr; w = w->prev) ++old_len;
 
-      // Resolve the full committed state at the floor.
-      bool deleted = n->kind == NodeKind::kDelete;
+      if (n->kind == NodeKind::kDelete) {
+        // Gone at the floor, and ids are never reused, so nothing newer
+        // exists: the whole chain can go.
+        pruned_versions_.fetch_add(old_len, std::memory_order_relaxed);
+        chain_nodes_.fetch_sub(old_len, std::memory_order_relaxed);
+        it = s.heads.erase(it);
+        continue;
+      }
+
+      // Resolve the full committed state at the floor. Every chain
+      // starts with a base node (only a base node opens one in
+      // PushNode), so the walk always ends at one.
       VersionNode fold;
       fold.seq = floor;
       fold.kind = NodeKind::kBase;
-      if (!deleted) {
-        for (NodePtr w = n; w != nullptr; w = w->prev) {
-          for (const auto& [idx, v] : w->attrs) {
-            bool seen = false;
-            for (const auto& [have, hv] : fold.attrs) {
-              if (have == idx) {
-                seen = true;
-                break;
-              }
+      for (NodePtr w = n; w != nullptr; w = w->prev) {
+        for (const auto& [idx, v] : w->attrs) {
+          bool seen = false;
+          for (const auto& [have, hv] : fold.attrs) {
+            if (have == idx) {
+              seen = true;
+              break;
             }
-            if (!seen) fold.attrs.emplace_back(idx, v);
           }
-          if (w->kind == NodeKind::kBase || w->kind == NodeKind::kCreate) {
-            fold.class_id = w->class_id;
-            break;
-          }
+          if (!seen) fold.attrs.emplace_back(idx, v);
         }
-        // A chain whose floor-state has no base/create node cannot prove
-        // its class; drop it entirely (reads fall back).
-        if (!fold.class_id.valid()) deleted = true;
-      }
-
-      if (deleted && retained.empty()) {
-        // Gone at the floor with nothing newer: the id is never reused,
-        // so the whole chain can go.
-        pruned_versions_.fetch_add(old_len, std::memory_order_relaxed);
-        chain_nodes_.fetch_sub(old_len, std::memory_order_relaxed);
-        it = s.heads.erase(it);
-        continue;
-      }
-      if (deleted) {
-        // Defensive: nodes above a floor-deletion should not exist (ids
-        // are never reused); dropping the chain keeps reads safe.
-        pruned_versions_.fetch_add(old_len, std::memory_order_relaxed);
-        chain_nodes_.fetch_sub(old_len, std::memory_order_relaxed);
-        it = s.heads.erase(it);
-        continue;
+        if (w->kind == NodeKind::kBase) {
+          fold.class_id = w->class_id;
+          break;
+        }
       }
 
       // Rebuild: fold node at the bottom, retained nodes re-linked above
@@ -395,34 +299,6 @@ void SnapshotIndex::Prune(uint64_t floor) {
       ++it;
     }
   }
-
-  std::unique_lock lock(members_mu_);
-  for (auto& [cls, head] : member_heads_) {
-    std::vector<const MemberNode*> retained;
-    MemberPtr n = head;
-    while (n != nullptr && n->seq > floor) {
-      retained.push_back(n.get());
-      n = n->prev;
-    }
-    if (n == nullptr || n->prev == nullptr) continue;
-    uint64_t old_len = retained.size();
-    for (MemberPtr w = n; w != nullptr; w = w->prev) ++old_len;
-
-    auto fold = std::make_shared<MemberNode>();
-    fold->seq = floor;
-    fold->members = n->members;  // state at floor (or disabled marker)
-    MemberPtr rebuilt = std::move(fold);
-    for (auto r = retained.rbegin(); r != retained.rend(); ++r) {
-      auto copy = std::make_shared<MemberNode>();
-      copy->seq = (*r)->seq;
-      copy->members = (*r)->members;
-      copy->prev = std::move(rebuilt);
-      rebuilt = std::move(copy);
-    }
-    uint64_t new_len = retained.size() + 1;
-    member_nodes_.fetch_sub(old_len - new_len, std::memory_order_relaxed);
-    head = std::move(rebuilt);
-  }
 }
 
 void SnapshotIndex::Reset() {
@@ -430,12 +306,7 @@ void SnapshotIndex::Reset() {
     std::unique_lock lock(s.mu);
     s.heads.clear();
   }
-  {
-    std::unique_lock lock(members_mu_);
-    member_heads_.clear();
-  }
   chain_nodes_.store(0, std::memory_order_relaxed);
-  member_nodes_.store(0, std::memory_order_relaxed);
   SetCoverageFloor(0);
   latest_published_.store(0, std::memory_order_release);
 }
@@ -449,8 +320,6 @@ void SnapshotIndex::ExportTo(obs::MetricsGroup* g) const {
   g->AddCounter("acquire_failures",
                 snapshot_acquire_failures_.load(std::memory_order_relaxed));
   g->AddCounter("chain_nodes", chain_nodes());
-  g->AddCounter("member_nodes",
-                member_nodes_.load(std::memory_order_relaxed));
   g->AddCounter("live_snapshots", live_snapshots());
   g->AddCounter("latest_published", latest_published());
   g->AddCounter("coverage_floor", coverage_floor());

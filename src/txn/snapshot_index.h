@@ -16,18 +16,24 @@
 //   - A reader copies a chain head under a striped shared_mutex, then
 //     walks prev pointers with no lock at all: nodes are immutable once
 //     published and kept alive by shared_ptr, so a concurrent truncate or
-//     prune can only unhook nodes the reader already holds.
+//     prune can only unhook nodes the reader already holds. An extent
+//     scan walks each stripe's chains under that stripe's shared lock.
 //   - latest_published_ is a release-store / acquire-load sequence
 //     number: a snapshot acquired at S is guaranteed to see every chain
 //     node with seq <= S, because the node inserts happen-before the
 //     SetLatestPublished(S) that made S visible.
 //
+// The chains are the only store of committed history: a class extent at
+// S is derived by scanning them (every instance whose newest node <= S
+// is live and whose base node names the class), so the index holds no
+// per-class state.
+//
 // Strict-miss rule: the index never guesses. Any situation where the
 // chain cannot prove the committed value at S — derived attribute (never
 // chained), instance with no node <= S (created later, or pruned past S),
-// newest node <= S is a delete, membership list disabled for size — is a
-// *miss*, and the caller falls back to the locked read path. A miss is
-// never wrong, only slower.
+// newest node <= S is a delete, an extent asked below the coverage
+// floor — is a *miss*, and the caller falls back to the locked read
+// path. A miss is never wrong, only slower.
 //
 // Pruning folds every node with seq <= floor into a single base node at
 // the floor (full intrinsic state), bounding memory. The caller picks a
@@ -58,10 +64,6 @@ class SnapshotIndex {
   /// returns an invalid handle when all slots are busy; the caller falls
   /// back to the locked path.
   static constexpr size_t kMaxSnapshots = 64;
-
-  /// Membership chains stop tracking a class once its extent outgrows
-  /// this; `instances of` / `select` on such a class falls back.
-  static constexpr size_t kMaxChainedMembers = 4096;
 
   enum class Lookup { kHit, kMiss };
 
@@ -123,32 +125,14 @@ class SnapshotIndex {
   /// the instance has no chain: reads of such an instance miss anyway.
   void RecordWrite(InstanceId id, uint64_t seq, size_t attr_index, Value v);
 
-  /// A committed instance creation with its full intrinsic state, plus
-  /// class-extent membership. `track_membership` is false only when
-  /// replaying pre-checkpoint history, whose extents are unknown below
-  /// the checkpoint position (membership is seeded there instead).
+  /// A base version with the instance's class and full intrinsic state:
+  /// a committed creation at `seq`, or (checkpoint restore) an instance
+  /// known to be live at `seq`.
   void RecordCreate(InstanceId id, uint64_t seq, ClassId cls,
-                    std::vector<std::pair<size_t, Value>> intrinsics,
-                    bool track_membership = true);
+                    std::vector<std::pair<size_t, Value>> intrinsics);
 
-  /// A checkpoint-bootstrap base version: like RecordCreate but the
-  /// instance is known to pre-date `seq` rather than be created at it.
-  void RecordBase(InstanceId id, uint64_t seq, ClassId cls,
-                  std::vector<std::pair<size_t, Value>> intrinsics);
-
-  /// A committed instance deletion (also leaves the class extent).
-  void RecordDelete(InstanceId id, uint64_t seq, ClassId cls,
-                    bool track_membership = true);
-
-  /// Seeds a class extent wholesale (checkpoint restore). `members` must
-  /// be sorted.
-  void SeedMembership(ClassId cls, uint64_t seq,
-                      std::vector<InstanceId> members);
-
-  /// Ensures `cls` has a membership chain whose genesis (empty) node sits
-  /// at the coverage floor, so "no members yet" is provable rather than a
-  /// miss. Called when a class is registered.
-  void EnsureMembership(ClassId cls);
+  /// A committed instance deletion.
+  void RecordDelete(InstanceId id, uint64_t seq);
 
   // --- Reader side (lock-free walks; safe against all mutators) -----------
 
@@ -165,7 +149,9 @@ class SnapshotIndex {
   /// unproven or deleted at the snapshot).
   Lookup ClassAt(const Snapshot& snap, InstanceId id, ClassId* out) const;
 
-  /// The sorted extent of `cls` as of `snap`, or miss.
+  /// The sorted extent of `cls` as of `snap`, derived by scanning every
+  /// chain; miss below the coverage floor or when a truncation or a prune
+  /// past the snapshot overlapped the scan.
   Lookup MembersAt(const Snapshot& snap, ClassId cls,
                    std::vector<InstanceId>* out) const;
 
@@ -183,13 +169,13 @@ class SnapshotIndex {
   void Prune(uint64_t floor);
 
   /// Sequence below which the index has no coverage (checkpoint restore
-  /// or pruning). Reads below it miss structurally; new membership
-  /// chains anchor their genesis here.
+  /// or pruning): chains folded or dropped below it cannot prove an
+  /// extent there, so MembersAt misses.
   uint64_t coverage_floor() const {
-    return coverage_floor_.load(std::memory_order_relaxed);
+    return coverage_floor_.load(std::memory_order_acquire);
   }
   void SetCoverageFloor(uint64_t floor) {
-    coverage_floor_.store(floor, std::memory_order_relaxed);
+    coverage_floor_.store(floor, std::memory_order_release);
   }
 
   /// Drops all chains and registers nothing (fresh Recover()).
@@ -213,27 +199,19 @@ class SnapshotIndex {
   struct VersionNode;
   using NodePtr = std::shared_ptr<const VersionNode>;
 
-  enum class NodeKind : uint8_t { kBase, kCreate, kWrite, kDelete };
+  // kBase: a creation, a checkpoint base or a prune fold.
+  enum class NodeKind : uint8_t { kBase, kWrite, kDelete };
 
   // One committed version of one instance. Immutable after publication.
   struct VersionNode {
     uint64_t seq = 0;
     NodeKind kind = NodeKind::kWrite;
-    ClassId class_id;  // kBase / kCreate only
-    // kWrite: the attributes this commit wrote (sparse). kBase/kCreate:
-    // the full intrinsic state. Empty for kDelete.
+    ClassId class_id;  // kBase only
+    // kWrite: the attributes this commit wrote (sparse). kBase: the full
+    // intrinsic state. Empty for kDelete.
     std::vector<std::pair<size_t, Value>> attrs;
     NodePtr prev;
   };
-
-  struct MemberNode {
-    uint64_t seq = 0;
-    // Sorted extent at `seq`. nullptr = tracking disabled (extent grew
-    // past kMaxChainedMembers); every read at or past this node misses.
-    std::shared_ptr<const std::vector<InstanceId>> members;
-    std::shared_ptr<const MemberNode> prev;
-  };
-  using MemberPtr = std::shared_ptr<const MemberNode>;
 
   static constexpr size_t kStripes = 16;
   struct Stripe {
@@ -249,11 +227,12 @@ class SnapshotIndex {
   }
 
   NodePtr HeadOf(InstanceId id) const;
+  // Pushes `node` onto the chain of `id`; only a base node opens one.
   void PushNode(InstanceId id, VersionNode node);
-  MemberPtr MemberHeadOf(ClassId cls) const;
-  void PushMembers(ClassId cls, uint64_t seq,
-                   std::shared_ptr<const std::vector<InstanceId>> members);
-  void MutateMembership(ClassId cls, uint64_t seq, InstanceId id, bool add);
+  // The class of the chain `head` as of `snap_seq`, or false when the
+  // instance is unproven or deleted there. Lock-free walk.
+  static bool ClassOfChain(const NodePtr& head, uint64_t snap_seq,
+                           ClassId* out);
 
   void ReleaseSlot(int slot);
 
@@ -264,7 +243,6 @@ class SnapshotIndex {
   mutable std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> pruned_versions_{0};
   std::atomic<uint64_t> chain_nodes_{0};
-  std::atomic<uint64_t> member_nodes_{0};
   std::atomic<uint64_t> snapshot_acquire_failures_{0};
 
   std::atomic<uint64_t> latest_published_{0};
@@ -274,13 +252,12 @@ class SnapshotIndex {
   // seq + 1 of the registered snapshot; 0 = free slot.
   std::atomic<uint64_t> slots_[kMaxSnapshots] = {};
 
-  // Mutated only under the statement lock; atomic because the
-  // metrics scrape may read it from another thread.
+  // Mutated only under the statement lock, and raised before a prune
+  // touches any stripe: an extent scan that saw a folded chain re-reads
+  // it and misses.
   std::atomic<uint64_t> coverage_floor_{0};
 
   Stripe stripes_[kStripes];
-  mutable std::shared_mutex members_mu_;
-  std::unordered_map<ClassId, MemberPtr> member_heads_;
 };
 
 }  // namespace cactis::txn

@@ -55,9 +55,11 @@ TEST_F(DisplayTest, RedrawIsIncremental) {
   // A second, unrelated box.
   ASSERT_TRUE(display_->AddWidget("other", "box", "Other Panel").ok());
   for (int i = 0; i < 20; ++i) {
+    std::string name = "w";
+    name.append(std::to_string(i));
     ASSERT_TRUE(display_
-                    ->AddWidget("w" + std::to_string(i), "label",
-                                "line " + std::to_string(i), "other")
+                    ->AddWidget(name, "label", "line " + std::to_string(i),
+                                "other")
                     .ok());
   }
   ASSERT_TRUE(display_->Render("root").ok());

@@ -109,8 +109,8 @@ TEST_F(MakeExtraTest, ManyConsumersOfOneHeaderEachRebuildOnce) {
   ASSERT_TRUE(make_->AddSource("common.h").ok());
   std::vector<std::string> objs;
   for (int i = 0; i < 12; ++i) {
-    std::string src = "m" + std::to_string(i) + ".c";
-    std::string obj = "m" + std::to_string(i) + ".o";
+    std::string src = std::string("m") + std::to_string(i) + ".c";
+    std::string obj = std::string("m") + std::to_string(i) + ".o";
     vfs_.Write(src, "s");
     ASSERT_TRUE(make_->AddSource(src).ok());
     ASSERT_TRUE(make_->AddRule(obj, "cc " + obj, {src, "common.h"}).ok());

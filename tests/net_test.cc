@@ -177,18 +177,18 @@ TEST(WireCodec, RequestPayloadRoundTrip) {
   EXPECT_EQ(*decoded, req);
 }
 
-TEST(WireCodec, RequestPayloadVectorOverloadMintsNoTraceId) {
-  // The statement-vector convenience overload leaves trace_id = 0,
-  // which tells the executor to mint a server-side id.
+TEST(WireCodec, RequestPayloadWithoutTraceIdEncodesZero) {
+  // A request that sets no trace id carries 0, which tells the executor
+  // to mint a server-side id.
   auto decoded =
-      DecodeRequestPayload(EncodeRequestPayload({std::string("commit")}));
+      DecodeRequestPayload(EncodeRequestPayload({.statements = {"commit"}}));
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->trace_id, 0u);
   EXPECT_EQ(decoded->statements, std::vector<std::string>{"commit"});
 }
 
 TEST(WireCodec, RequestPayloadRejectsTruncation) {
-  std::string bytes = EncodeRequestPayload({"get obj(1).v"});
+  std::string bytes = EncodeRequestPayload({.statements = {"get obj(1).v"}});
   for (size_t cut = 0; cut < bytes.size(); ++cut) {
     auto r = DecodeRequestPayload(std::string_view(bytes).substr(0, cut));
     EXPECT_FALSE(r.ok()) << "decoded from a " << cut << "-byte prefix";
@@ -204,7 +204,7 @@ TEST(WireCodec, RequestPayloadRejectsAbsurdCount) {
 }
 
 TEST(WireCodec, RequestPayloadRejectsTrailingGarbage) {
-  std::string bytes = EncodeRequestPayload({"commit"});
+  std::string bytes = EncodeRequestPayload({.statements = {"commit"}});
   bytes += "extra";
   EXPECT_FALSE(DecodeRequestPayload(bytes).ok());
 }
@@ -534,7 +534,8 @@ TEST_F(NetIntegrationTest, BackpressureSurfacesAsTypedRejection) {
   // Pipeline queue_depth + 2 requests without reading: the first two
   // occupy the queue, the rest must come back IMMEDIATELY as typed
   // kRejected responses — never silently dropped, never disconnected.
-  std::string batch = EncodeRequestPayload({"create counter"});
+  std::string batch =
+      EncodeRequestPayload({.statements = {"create counter"}});
   for (int i = 0; i < 4; ++i) {
     conn.Send(EncodeFrame(FrameType::kRequest, token, batch));
   }
@@ -600,8 +601,9 @@ TEST_F(NetIntegrationTest, SessionMismatchRejectedOverSocket) {
   conn.Connect(server_->port());
   uint64_t token = conn.Hello();
   ASSERT_NE(token, 0u);
-  conn.Send(EncodeFrame(FrameType::kRequest, token + 1,
-                        EncodeRequestPayload({"create counter"})));
+  conn.Send(EncodeFrame(
+      FrameType::kRequest, token + 1,
+      EncodeRequestPayload({.statements = {"create counter"}})));
   auto f = conn.Recv();
   ASSERT_TRUE(f && f->type == FrameType::kError);
   auto err = DecodeErrorPayload(f->payload);
@@ -614,8 +616,9 @@ TEST_F(NetIntegrationTest, RequestBeforeHelloRejected) {
   StartServer(2);
   RawConn conn;
   conn.Connect(server_->port());
-  conn.Send(EncodeFrame(FrameType::kRequest, 99,
-                        EncodeRequestPayload({"create counter"})));
+  conn.Send(EncodeFrame(
+      FrameType::kRequest, 99,
+      EncodeRequestPayload({.statements = {"create counter"}})));
   auto f = conn.Recv();
   ASSERT_TRUE(f && f->type == FrameType::kError);
   auto err = DecodeErrorPayload(f->payload);

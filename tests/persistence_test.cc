@@ -174,7 +174,7 @@ TEST(InstanceSerializationTest, OverlongVarintIsIoError) {
   ASSERT_EQ(full[0], '\x01');  // the id is the record's first varint
   // The same id padded to eleven bytes, and a ten-byte id past 2^64.
   std::string eleven =
-      "\x81" + std::string(9, '\x80') + '\x00' + full.substr(1);
+      std::string("\x81") + std::string(9, '\x80') + '\x00' + full.substr(1);
   std::string past64 = std::string(9, '\xff') + '\x7f' + full.substr(1);
   for (const std::string& bad : {eleven, past64}) {
     auto back = Instance::Deserialize(bad, cat);

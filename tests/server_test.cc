@@ -510,6 +510,11 @@ TEST(ServerRoutingTest, ReadsTheSnapshotCannotAnswerRunUnderTheLock) {
   expect_locked("members big", "count=1");
   ASSERT_TRUE(call("begin").ok());
   expect_locked("get c.v", "21");
+  // Extent reads inside a transaction see its own uncommitted create and
+  // write, which no snapshot holds.
+  ASSERT_TRUE(call("create counter as x; set x.v = 9").ok());
+  expect_locked("instances counter", "count=3");
+  expect_locked("select counter where v > 3", "count=2");
   ASSERT_TRUE(call("commit").ok());
   EXPECT_EQ(st.fast_path_reads.load(), 0u);
 }

@@ -8,6 +8,7 @@
 // regression the feature exists for: a read-only storm must not reject
 // a single write. Run plain, under ASan, and under TSan.
 
+#include <algorithm>
 #include <atomic>
 #include <cinttypes>
 #include <cstdint>
@@ -222,6 +223,85 @@ TEST_F(SnapshotVisibilityTest, SelectFiltersAtTheSnapshot) {
   EXPECT_EQ((*sel)->front(), b);
 }
 
+TEST_F(SnapshotVisibilityTest, LargeExtentIsAnsweredWhole) {
+  // Extents are derived from the version chains, so no class size makes
+  // the snapshot path give up.
+  for (int i = 0; i < 5000; ++i) ASSERT_TRUE(db_.Create("counter").ok());
+  SnapshotIndex::Snapshot snap = db_.AcquireSnapshot();
+  auto list = db_.TryInstancesOfSnapshot(snap, "counter");
+  ASSERT_TRUE(list.has_value()) << "a 5000-instance extent missed";
+  ASSERT_TRUE(list->ok());
+  ASSERT_EQ((*list)->size(), 5000u);
+  EXPECT_TRUE(std::is_sorted((*list)->begin(), (*list)->end()));
+  EXPECT_EQ(**list, *db_.InstancesOf("counter"));
+}
+
+// The extent scan never reports a short extent: once a prune folds a
+// chain past a held snapshot, that instance has no node <= the snapshot,
+// so the scan must miss rather than leave it out.
+TEST(SnapshotIndexTest, ExtentNeverOmitsAnInstanceFoldedPastTheSnapshot) {
+  SnapshotIndex index;
+  const InstanceId id(1);
+  const ClassId cls(1);
+  index.RecordCreate(id, 1, cls, {{0, Value::Int(0)}});
+  index.SetLatestPublished(1);
+  SnapshotIndex::Snapshot held = index.Acquire();
+  ASSERT_TRUE(held.valid());
+  index.RecordWrite(id, 2, 0, Value::Int(7));
+  index.SetLatestPublished(2);
+  index.Prune(2);  // folds id 1 into a single base node at 2
+
+  std::vector<InstanceId> members;
+  if (index.MembersAt(held, cls, &members) == SnapshotIndex::Lookup::kHit) {
+    EXPECT_EQ(members, std::vector<InstanceId>{id});
+  }
+  SnapshotIndex::Snapshot fresh = index.Acquire();
+  ASSERT_EQ(index.MembersAt(fresh, cls, &members),
+            SnapshotIndex::Lookup::kHit);
+  EXPECT_EQ(members, std::vector<InstanceId>{id});
+}
+
+// --- Checkpoint restore ------------------------------------------------------
+
+TEST(SnapshotRecoveryTest, RestoredExtentsMatchTheLockedPath) {
+  const char* schema = R"(
+    object class counter is
+      attributes
+        v : int;
+    end object;
+    object class tag is
+      attributes
+        label : string;
+    end object;
+  )";
+  Database db;
+  ASSERT_TRUE(db.LoadSchema(schema).ok());
+  auto a = *db.Create("counter");
+  ASSERT_TRUE(db.Create("tag").ok());
+  // Created and deleted inside the retained window, before the
+  // checkpoint position.
+  auto gone = *db.Create("counter");
+  ASSERT_TRUE(db.Set(gone, "v", Value::Int(3)).ok());
+  ASSERT_TRUE(db.Delete(gone).ok());
+  ASSERT_TRUE(db.Checkpoint().ok());
+  // A tail past the checkpoint, replayed from the WAL.
+  ASSERT_TRUE(db.Create("counter").ok());
+  ASSERT_TRUE(db.Set(a, "v", Value::Int(9)).ok());
+
+  Database recovered;
+  ASSERT_TRUE(recovered.LoadSchema(schema).ok());
+  ASSERT_TRUE(recovered.Recover(*db.disk()).ok());
+  SnapshotIndex::Snapshot snap = recovered.AcquireSnapshot();
+  for (const schema::ObjectClass* cls : recovered.catalog()->AllClasses()) {
+    auto locked = recovered.InstancesOf(cls->name());
+    ASSERT_TRUE(locked.ok());
+    auto list = recovered.TryInstancesOfSnapshot(snap, cls->name());
+    ASSERT_TRUE(list.has_value() && list->ok()) << cls->name();
+    EXPECT_EQ(**list, *locked) << cls->name();
+  }
+  EXPECT_EQ(recovered.InstancesOf("counter")->size(), 2u);
+}
+
 // --- Pruning vs live snapshots ----------------------------------------------
 
 TEST(SnapshotPruneTest, PruneNeverFreesALiveSnapshotsVersion) {
@@ -357,6 +437,64 @@ TEST(SnapshotServerTest, ReadOnlyStormNeverAbortsAWriter) {
   EXPECT_EQ(db.cc_stats().write_rejections.load(), 0u);
   EXPECT_EQ(db.cc_stats().dirty_write_rejections.load(), 0u);
   EXPECT_EQ(exec.stats().txn_conflicts.load(), 0u);
+  exec.Shutdown();
+}
+
+// Extent scans race the commit path: every commit creates or deletes
+// counters in pairs, so a snapshot extent that saw half a commit (or
+// lost an instance to a concurrent prune) would show an odd count.
+TEST(SnapshotServerTest, ExtentScansNeverSeeATornCommit) {
+  DatabaseOptions dbopts;
+  dbopts.version_prune_threshold = 8;
+  dbopts.version_prune_slack = 2;
+  core::Database db(dbopts);
+  ASSERT_TRUE(db.LoadSchema(kCounterSchema).ok());
+  server::ServerOptions opts;
+  opts.num_workers = 4;
+  opts.max_queue_depth = 256;
+  server::Executor exec(&db, opts);
+  exec.Start();
+  server::LoopbackTransport client(&exec);
+
+  constexpr int kReaders = 3;
+  constexpr int kReadsEach = 200;
+  constexpr int kRounds = 30;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kReaders; ++t) {
+    threads.emplace_back([&, t] {
+      auto s = *client.Connect();
+      for (int i = 0; i < kReadsEach; ++i) {
+        const char* stmt = (i + t) % 2 == 0 ? "instances counter"
+                                            : "select counter where v >= 0";
+        // A miss falls back to the locked path, which reads live state
+        // and may see the writer between its two creates; only a read
+        // no fallback overlapped is certainly a snapshot answer.
+        const uint64_t fallbacks = exec.stats().snapshot_fallbacks.load();
+        server::Response r = CallAdmitted(&client, s, stmt);
+        ASSERT_TRUE(r.ok()) << r.payload;
+        unsigned long n = 1;
+        ASSERT_EQ(std::sscanf(r.payload.c_str(), "count=%lu", &n), 1);
+        if (exec.stats().snapshot_fallbacks.load() == fallbacks) {
+          EXPECT_EQ(n % 2, 0u) << stmt << " saw a torn extent";
+        }
+      }
+      EXPECT_TRUE(client.Disconnect(s).ok());
+    });
+  }
+  threads.emplace_back([&] {
+    auto s = *client.Connect();
+    for (int i = 0; i < kRounds; ++i) {
+      server::Response r = CallAdmitted(
+          &client, s,
+          i % 3 == 2 ? "begin; delete a; delete b; commit"
+                     : "begin; create counter as a; create counter as b; "
+                       "commit");
+      ASSERT_TRUE(r.ok()) << r.payload;
+    }
+    EXPECT_TRUE(client.Disconnect(s).ok());
+  });
+  for (auto& th : threads) th.join();
+  EXPECT_GT(exec.stats().snapshot_reads.load(), 0u);
   exec.Shutdown();
 }
 

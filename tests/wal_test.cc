@@ -394,7 +394,7 @@ TEST(WalGroupCommitTest, StagedBacklogFlushesAsOneBatch) {
   ASSERT_EQ(events->size(), static_cast<size_t>(kStaged));
   for (int i = 0; i < kStaged; ++i) {
     EXPECT_EQ((*events)[i].kind, WalEventKind::kVersion);
-    EXPECT_EQ((*events)[i].version_name, "v" + std::to_string(i));
+    EXPECT_EQ((*events)[i].version_name, std::string("v") + std::to_string(i));
   }
 }
 
