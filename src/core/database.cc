@@ -200,7 +200,7 @@ Status Database::MigrateLiveInstances(const schema::ObjectClass& cls) {
     CACTIS_RETURN_IF_ERROR(cache_.WriteThrough(*inst));
     for (size_t i = old_count; i < cls.attributes().size(); ++i) {
       if (cls.attributes()[i].intrinsically_important()) {
-        engine_->QueueImportant(AttrSite{id, static_cast<uint32_t>(i)});
+        engine_->QueueImportant(AttrSite{id, static_cast<uint32_t>(i)}, cls);
       }
     }
   }
@@ -317,7 +317,7 @@ Result<InstanceId> Database::OpCreate(Transaction* t,
   CACTIS_RETURN_IF_ERROR(CheckWrite(t, id));
   // Establish the new instance's constraints and subtype predicates.
   for (size_t idx : cls->constraint_attrs()) {
-    engine_->QueueImportant(AttrSite{id, static_cast<uint32_t>(idx)});
+    engine_->QueueImportant(AttrSite{id, static_cast<uint32_t>(idx)}, *cls);
   }
   Status s = AbortOnError(t, engine_->EvaluateImportant(t));
   if (!s.ok()) return s;
@@ -385,7 +385,8 @@ Result<Value> Database::OpGet(Transaction* t, InstanceId id,
   CACTIS_ASSIGN_OR_RETURN(inst, FetchInstance(id, /*count_access=*/false));
   if (!inst->attrs()[idx].out_of_date) return inst->attrs()[idx].value;
 
-  Result<Value> v = engine_->DemandValue(site, t, /*user_request=*/true);
+  Result<Value> v =
+      engine_->DemandValue(site, *cls, t, /*user_request=*/true);
   if (!v.ok()) {
     Status s = MaybeAbort(t, v.status());
     return s.ok() ? v : s;
@@ -867,7 +868,7 @@ Status Database::DoDisconnect(txn::TransactionDelta* log, EdgeId edge) {
   CACTIS_RETURN_IF_ERROR(remove_from(info.from, info.from_port));
   CACTIS_RETURN_IF_ERROR(remove_from(info.to, info.to_port));
   edges_.erase(edge);
-  if (edge.value < edge_stats_.size()) edge_stats_[edge.value].reset();
+  if (edge.value < edge_stats_.size()) edge_stats_[edge.value] = {};
 
   if (log != nullptr) {
     txn::DeltaRecord rec;
@@ -1462,9 +1463,8 @@ Result<std::vector<InstanceId>> Database::MembersOfSubtype(
   // Bring every member's predicate up to date (dynamic membership).
   for (InstanceId id : instances_by_class_[sub->class_id]) {
     AttrSite site{id, static_cast<uint32_t>(sub->predicate_attr_index)};
-    (void)cls;
     CACTIS_RETURN_IF_ERROR(
-        engine_->DemandValue(site, nullptr, false).status());
+        engine_->DemandValue(site, *cls, nullptr, false).status());
   }
   const std::set<InstanceId>& members = subtype_members_[sub->id];
   return std::vector<InstanceId>(members.begin(), members.end());
@@ -1566,11 +1566,12 @@ void Database::FoldUsageStatistics() {
     raw_total += raw;
     decayed_total += it->second.decay.value();
   }
-  for (std::optional<EdgeStatEntry>& stats : edge_stats_) {
-    if (!stats) continue;
-    stats->usage_decay.Record(
-        static_cast<double>(stats->usage - stats->usage_at_last_fold));
-    stats->usage_at_last_fold = stats->usage;
+  for (EdgeStatEntry& stats : edge_stats_) {
+    if (!stats.used) continue;
+    stats.usage_decay.Record(
+        static_cast<double>(stats.usage - stats.usage_at_last_fold),
+        options_.cluster_decay_alpha);
+    stats.usage_at_last_fold = stats.usage;
   }
   cluster_stats_.raw_access_total = raw_total;
   cluster_stats_.decayed_access_total = decayed_total;
@@ -1879,13 +1880,6 @@ void Database::ReleaseCcWrites(Transaction* t) {
     tsm_.ReleaseWrite(id, t->id_.value);
   }
   t->cc_writes_.clear();
-}
-
-Database::EdgeStatEntry& Database::EdgeStatsFor(EdgeId id) {
-  if (id.value >= edge_stats_.size()) edge_stats_.resize(id.value + 1);
-  std::optional<EdgeStatEntry>& stats = edge_stats_[id.value];
-  if (!stats) stats.emplace(options_.decay_alpha, options_.cluster_decay_alpha);
-  return *stats;
 }
 
 Result<Value> Database::CoerceToType(Value value, ValueType declared) {

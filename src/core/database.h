@@ -605,16 +605,21 @@ class Database {
     uint32_t to_port = 0;
   };
 
+  // Per-edge scheduling and clustering statistics. The two decay weights
+  // are the same for every edge, so they are read from options_
+  // (decay_alpha, cluster_decay_alpha) rather than stored here.
   struct EdgeStatEntry {
-    sched::DecayingAverage decay;
-    uint64_t usage = 0;        // crossings (clustering statistic)
-    double worst_case = 1.0;   // cluster-time marking estimate
+    sched::DecayState decay{1.0};  // expected I/O of values fetched across
+    double worst_case = 1.0;       // cluster-time marking estimate
+    uint64_t usage = 0;            // crossings (clustering statistic)
     // DSTC statistic: crossings per observation period, decayed. Folded
     // from `usage` deltas by FoldUsageStatistics.
-    sched::DecayingAverage usage_decay;
+    sched::DecayState usage_decay{0.0};
     uint64_t usage_at_last_fold = 0;
-    EdgeStatEntry(double alpha, double cluster_alpha)
-        : decay(alpha, 1.0), usage_decay(cluster_alpha, 0.0) {}
+    // False until the edge's statistics are first used; a fold skips
+    // unused entries, so an edge's first real sample still replaces its
+    // seed.
+    bool used = false;
   };
 
   // DSTC statistic per instance: accesses per observation period,
@@ -728,22 +733,29 @@ class Database {
   /// Statistics of an edge id within the id bound (`EdgeInRange`),
   /// created on first use. Callers pass ids read from stored instances or
   /// just allocated, so the table never grows past next_edge_.
-  EdgeStatEntry& EdgeStatsFor(EdgeId id);
+  EdgeStatEntry& EdgeStatsFor(EdgeId id) {
+    if (id.value >= edge_stats_.size()) edge_stats_.resize(id.value + 1);
+    EdgeStatEntry& stats = edge_stats_[id.value];
+    stats.used = true;
+    return stats;
+  }
   bool EdgeInRange(EdgeId id) const {
     return id.valid() && id.value <= next_edge_;
   }
   /// Copy of the statistics, or a fresh entry's defaults for an id past
   /// the bound; never grows the table (public white-box getters).
   EdgeStatEntry EdgeStatsOrDefault(EdgeId id) {
-    return EdgeInRange(id) ? EdgeStatsFor(id)
-                           : EdgeStatEntry(options_.decay_alpha,
-                                           options_.cluster_decay_alpha);
+    return EdgeInRange(id) ? EdgeStatsFor(id) : EdgeStatEntry{};
   }
-  void RecordCrossing(EdgeId id) {
-    ++EdgeStatsFor(id).usage;
+  /// Counts one crossing of `id`; returns its statistics entry, valid
+  /// until the table next grows.
+  EdgeStatEntry& RecordCrossing(EdgeId id) {
+    EdgeStatEntry& stats = EdgeStatsFor(id);
+    ++stats.usage;
     // Cumulative crossing count across all edges: the denominator of the
     // observed blocks/traversal figure the drift watchdog samples.
     ++traversal_crossings_;
+    return stats;
   }
 
   Status RecomputeWorstCaseStats();
@@ -803,9 +815,8 @@ class Database {
   std::unordered_map<EdgeId, EdgeInfo> edges_;
   std::unordered_map<ClassId, std::set<InstanceId>> instances_by_class_;
   std::unordered_map<SubtypeId, std::set<InstanceId>> subtype_members_;
-  // Indexed by EdgeId::value; empty until the edge's statistics are
-  // first used (the lazily-created entry, like a map insert).
-  std::vector<std::optional<EdgeStatEntry>> edge_stats_;
+  // Indexed by EdgeId::value.
+  std::vector<EdgeStatEntry> edge_stats_;
   std::unordered_map<InstanceId, AccessDecayEntry> access_decay_;
   ClusterStats cluster_stats_;
   // Lifetime crossings across all edges (locked path only, like the

@@ -6,24 +6,6 @@
 #include "core/database.h"
 #include "obs/request_context.h"
 
-#include <cstdio>
-#include <cstdlib>
-
-// Event tracing for engine debugging: set CACTIS_EVTRACE=1 to stream
-// request/gather/notify/complete events to stderr.
-namespace {
-bool EvTraceEnabled() {
-  static const bool enabled = std::getenv("CACTIS_EVTRACE") != nullptr;
-  return enabled;
-}
-}  // namespace
-
-#define CACTIS_EVTRACE(...) \
-  do {                                          \
-    if (EvTraceEnabled()) fprintf(stderr, __VA_ARGS__); \
-  } while (0)
-
-
 namespace cactis::core {
 
 namespace {
@@ -169,13 +151,84 @@ class RuleContext : public lang::EvalContext {
   bool allow_assign_;
 };
 
+// --- Chunk dispatch --------------------------------------------------------
+
+Status EvalEngine::RunChunk(const sched::Chunk& chunk) {
+  AttrSite site{chunk.owner, chunk.attr};
+  if (chunk.kind == sched::ChunkKind::kMark) return RunMarkChunk(site);
+  // An evaluation chunk whose node is not requested was scheduled by a
+  // drain that ended in an error and cleared the node table; nothing
+  // waits on it any more.
+  EvalNode* node = FindNode(site);
+  if (node == nullptr || !node->requested) return Status::OK();
+  switch (chunk.kind) {
+    case sched::ChunkKind::kGather:
+      return RunGatherChunk(site);
+    case sched::ChunkKind::kResolve:
+      return RunResolveChunk(chunk);
+    case sched::ChunkKind::kCompute:
+      return RunComputeChunk(site);
+    case sched::ChunkKind::kMark:
+      break;
+  }
+  return Status::OK();
+}
+
 // --- Marking (phase 1) -----------------------------------------------------
 
+template <typename Fn>
+Status EvalEngine::ForEachDependent(const AttrSite& site, Fn&& fn) {
+  CACTIS_ASSIGN_OR_RETURN(const schema::ObjectClass* cls,
+                          db_->ClassOfInstancePtr(site.instance));
+  const schema::AttributeDef& def = cls->attributes()[site.attr];
+
+  // Local dependents within the same instance.
+  for (size_t idx : cls->LocalDependents(site.attr)) {
+    CACTIS_RETURN_IF_ERROR(
+        fn(AttrSite{site.instance, static_cast<uint32_t>(idx)}, nullptr));
+  }
+
+  // Remote dependents across relationships. Copy the edges first:
+  // fetching peers can evict this instance's block. The copy goes into a
+  // reused buffer (moved out while in use, so a nested call would start
+  // its own).
+  CACTIS_ASSIGN_OR_RETURN(Instance * inst, db_->FetchInstance(site.instance));
+  std::vector<EdgeRecord> edges = std::move(dependent_edges_);
+  edges.clear();
+  auto copy_port = [&](size_t port) {
+    const std::vector<EdgeRecord>& on_port = inst->ports()[port];
+    edges.insert(edges.end(), on_port.begin(), on_port.end());
+  };
+  if (def.kind == schema::AttrKind::kExport) {
+    copy_port(def.export_port_index);
+  } else {
+    for (size_t p = 0; p < inst->ports().size(); ++p) {
+      if (cls->ResolveProvidedValue(p, def.name) == site.attr) copy_port(p);
+    }
+  }
+  const std::string& provided_name =
+      def.kind == schema::AttrKind::kExport ? def.export_name : def.name;
+
+  for (const EdgeRecord& e : edges) {
+    const Database::EdgeStatEntry& stats = db_->RecordCrossing(e.id);
+    CACTIS_ASSIGN_OR_RETURN(const schema::ObjectClass* peer_cls,
+                            db_->ClassOfInstancePtr(e.peer));
+    for (size_t idx :
+         peer_cls->RemoteDependents(e.peer_port, provided_name)) {
+      CACTIS_RETURN_IF_ERROR(
+          fn(AttrSite{e.peer, static_cast<uint32_t>(idx)}, &stats));
+    }
+  }
+  dependent_edges_ = std::move(edges);
+  return Status::OK();
+}
+
 Status EvalEngine::MarkDependentsOf(const AttrSite& site) {
-  return ForEachDependent(site, [this](const AttrSite& dep, EdgeId via) {
-    ScheduleMark(dep, via);
-    return Status::OK();
-  });
+  return ForEachDependent(
+      site, [this](const AttrSite& dep, const Database::EdgeStatEntry* via) {
+        ScheduleMark(dep, via == nullptr ? 0.0 : via->worst_case);
+        return Status::OK();
+      });
 }
 
 Status EvalEngine::MarkPortChanged(InstanceId instance, size_t port_index) {
@@ -190,23 +243,23 @@ Status EvalEngine::MarkPortChanged(InstanceId instance, size_t port_index) {
     for (size_t idx : cls->RemoteDependents(port, name)) targets.insert(idx);
   }
   for (size_t idx : targets) {
-    ScheduleMark(AttrSite{instance, static_cast<uint32_t>(idx)}, EdgeId());
+    ScheduleMark(AttrSite{instance, static_cast<uint32_t>(idx)}, 0.0);
   }
   return Status::OK();
 }
 
 Status EvalEngine::MarkAttribute(const AttrSite& site) {
-  ScheduleMark(site, EdgeId());
+  ScheduleMark(site, 0.0);
   return Status::OK();
 }
 
-void EvalEngine::ScheduleMark(const AttrSite& site, EdgeId via_edge) {
+void EvalEngine::ScheduleMark(const AttrSite& site, double expected_io) {
   sched::Chunk chunk;
+  chunk.kind = sched::ChunkKind::kMark;
   chunk.owner = site.instance;
-  chunk.expected_io =
-      via_edge.valid() ? db_->EdgeStatsFor(via_edge).worst_case : 0.0;
-  chunk.run = [this, site] { return RunMarkChunk(site); };
-  db_->scheduler_->Schedule(std::move(chunk));
+  chunk.attr = site.attr;
+  chunk.expected_io = expected_io;
+  db_->scheduler_->Schedule(chunk);
 }
 
 Status EvalEngine::RunMarkChunk(const AttrSite& site) {
@@ -234,7 +287,7 @@ Status EvalEngine::RunMarkChunk(const AttrSite& site) {
     // class extension) must still be re-established.
     ++stats_.mark_cutoffs;
     if (def.intrinsically_important() || slot.subscribed) {
-      to_evaluate_.push_back(site);
+      to_evaluate_.push_back({site, AttrCount(*cls)});
     }
     return Status::OK();
   }
@@ -242,86 +295,38 @@ Status EvalEngine::RunMarkChunk(const AttrSite& site) {
   bool important = def.intrinsically_important() || slot.subscribed;
   CACTIS_RETURN_IF_ERROR(db_->WriteInstance(*inst));
   ++stats_.attrs_marked;
-  if (important) to_evaluate_.push_back(site);
+  if (important) to_evaluate_.push_back({site, AttrCount(*cls)});
   if (db_->change_listener_) {
     db_->change_listener_(site.instance, site.attr);
   }
   return MarkDependentsOf(site);
 }
 
-Status EvalEngine::ForEachDependent(
-    const AttrSite& site,
-    const std::function<Status(const AttrSite&, EdgeId)>& fn) {
-  CACTIS_ASSIGN_OR_RETURN(const schema::ObjectClass* cls,
-                          db_->ClassOfInstancePtr(site.instance));
-  const schema::AttributeDef& def = cls->attributes()[site.attr];
-
-  // Local dependents within the same instance.
-  for (size_t idx : cls->LocalDependents(site.attr)) {
-    CACTIS_RETURN_IF_ERROR(
-        fn(AttrSite{site.instance, static_cast<uint32_t>(idx)}, EdgeId()));
-  }
-
-  // Remote dependents across relationships. Copy the edge lists first:
-  // fetching peers can evict this instance's block.
-  CACTIS_ASSIGN_OR_RETURN(Instance * inst, db_->FetchInstance(site.instance));
-  std::vector<std::pair<size_t, std::vector<EdgeRecord>>> edges_by_port;
-  if (def.kind == schema::AttrKind::kExport) {
-    edges_by_port.emplace_back(def.export_port_index,
-                               inst->ports()[def.export_port_index]);
-  } else {
-    for (size_t p = 0; p < inst->ports().size(); ++p) {
-      if (cls->ResolveProvidedValue(p, def.name) != site.attr) continue;
-      edges_by_port.emplace_back(p, inst->ports()[p]);
-    }
-  }
-  const std::string& provided_name =
-      def.kind == schema::AttrKind::kExport ? def.export_name : def.name;
-
-  for (const auto& [port, edges] : edges_by_port) {
-    (void)port;
-    for (const EdgeRecord& e : edges) {
-      db_->RecordCrossing(e.id);
-      CACTIS_ASSIGN_OR_RETURN(const schema::ObjectClass* peer_cls,
-                              db_->ClassOfInstancePtr(e.peer));
-      for (size_t idx :
-           peer_cls->RemoteDependents(e.peer_port, provided_name)) {
-        CACTIS_RETURN_IF_ERROR(
-            fn(AttrSite{e.peer, static_cast<uint32_t>(idx)}, e.id));
-      }
-    }
-  }
-  return Status::OK();
-}
-
 // --- Evaluation (phase 2) --------------------------------------------------
 
-Status EvalEngine::RequestEval(const AttrSite& site,
-                               std::optional<AttrSite> waiter, EdgeId via_edge,
-                               bool user_request) {
+Status EvalEngine::RequestEval(const AttrSite& site, uint32_t attr_count,
+                               const AttrSite* waiter, EdgeId via_edge,
+                               double expected_io, bool user_request) {
   ++stats_.eval_requests;
-  CACTIS_EVTRACE("[req] %llu.%u waiter=%llu done=%d\n",
-                 (unsigned long long)site.instance.value, site.attr,
-                 waiter ? (unsigned long long)waiter->instance.value : 0,
-                 (int)nodes_[site].done);
-  EvalNode& node = nodes_[site];
-  node.site = site;
-  if (node.done) return Status::OK();
-  if (waiter.has_value()) {
-    node.waiters.push_back(*waiter);
-    ++nodes_[*waiter].pending;  // may rehash; `node` not used below
+  if (site.attr >= attr_count) {
+    return Status::Internal("evaluation request for out-of-range attribute");
   }
-  EvalNode& fresh = nodes_[site];
-  if (!fresh.requested) {
-    fresh.requested = true;
-    fresh.via_edge = via_edge;
+  EvalNode& node = NodeFor(site, attr_count);
+  if (node.done) return Status::OK();
+  if (waiter != nullptr) {
+    node.waiters.push_back(*waiter);
+    ++Node(*waiter).pending;
+  }
+  if (!node.requested) {
+    node.requested = true;
+    node.via_edge = via_edge;
     sched::Chunk chunk;
+    chunk.kind = sched::ChunkKind::kGather;
     chunk.owner = site.instance;
+    chunk.attr = site.attr;
     chunk.user_request = user_request;
-    chunk.expected_io =
-        via_edge.valid() ? db_->EdgeStatsFor(via_edge).decay.value() : 0.0;
-    chunk.run = [this, site] { return RunGatherChunk(site); };
-    db_->scheduler_->Schedule(std::move(chunk));
+    chunk.expected_io = expected_io;
+    db_->scheduler_->Schedule(chunk);
   }
   return Status::OK();
 }
@@ -329,18 +334,16 @@ Status EvalEngine::RequestEval(const AttrSite& site,
 Status EvalEngine::RunGatherChunk(const AttrSite& site) {
   db_->trace_.Record(obs::SpanKind::kGatherChunk, site.instance.value,
                      site.attr);
-  EvalNode* node = &nodes_[site];
-  node->site = site;
-  if (node->gathered || node->done) return Status::OK();
+  EvalNode& node = Node(site);
+  if (node.gathered || node.done) return Status::OK();
   if (!db_->store_.Contains(site.instance)) {
-    node->gathered = true;
+    node.gathered = true;
     return CompleteNode(site);
   }
 
   uint64_t before = db_->disk_.stats().reads;
   CACTIS_ASSIGN_OR_RETURN(Instance * inst, db_->FetchInstance(site.instance));
-  nodes_[site].io_cost += static_cast<double>(db_->disk_.stats().reads - before);
-  node = &nodes_[site];
+  node.io_cost += static_cast<double>(db_->disk_.stats().reads - before);
 
   CACTIS_ASSIGN_OR_RETURN(const schema::ObjectClass* cls,
                           db_->ClassOfInstancePtr(site.instance));
@@ -348,88 +351,84 @@ Status EvalEngine::RunGatherChunk(const AttrSite& site) {
   CACTIS_ASSIGN_OR_RETURN(inst, db_->FetchInstance(site.instance));
   const AttrSlot& slot = inst->attrs()[site.attr];
   if (!def.is_derived() || !slot.out_of_date) {
-    node->gathered = true;
+    node.gathered = true;
     return CompleteNode(site);
   }
 
-  // Request every value the rule depends on. Local dependencies are
-  // resolved immediately; remote ones get a resolve chunk per edge (the
-  // neighbour must be touched to know its class and freshness, and that
-  // touch is itself schedulable work).
-  std::vector<AttrSite> local_requests;
-  std::vector<std::tuple<EdgeRecord, std::string>> remote_requests;
+  // Request every value the rule depends on: local dependencies first,
+  // then a resolve chunk per edge for each remote one (the neighbour must
+  // be touched to know its class and freshness, and that touch is itself
+  // schedulable work). Requesting and scheduling fault no block, so
+  // `inst` stays valid throughout.
   for (const lang::Dependency& d : def.deps) {
-    switch (d.kind) {
-      case lang::Dependency::Kind::kLocal: {
-        size_t idx = cls->AttrIndexOf(d.name);
-        if (idx == SIZE_MAX) continue;  // validated at schema time
-        const schema::AttributeDef& dep_def = cls->attributes()[idx];
-        const AttrSlot& dep_slot = inst->attrs()[idx];
-        if (dep_def.is_derived() && dep_slot.out_of_date) {
-          local_requests.push_back(
-              AttrSite{site.instance, static_cast<uint32_t>(idx)});
-        }
-        break;
-      }
-      case lang::Dependency::Kind::kRemote: {
-        size_t p = cls->PortIndexOf(d.port);
-        if (p == SIZE_MAX) continue;
-        for (const EdgeRecord& e : inst->ports()[p]) {
-          remote_requests.emplace_back(e, d.name);
-        }
-        break;
-      }
-      case lang::Dependency::Kind::kStructural:
-        break;  // edge sets are read directly by the rule
+    if (d.kind != lang::Dependency::Kind::kLocal) continue;
+    size_t idx = cls->AttrIndexOf(d.name);
+    if (idx == SIZE_MAX) continue;  // validated at schema time
+    if (cls->attributes()[idx].is_derived() &&
+        inst->attrs()[idx].out_of_date) {
+      CACTIS_RETURN_IF_ERROR(
+          RequestEval(AttrSite{site.instance, static_cast<uint32_t>(idx)},
+                      AttrCount(*cls), &site, EdgeId(), 0.0, false));
+    }
+  }
+  for (size_t i = 0; i < def.deps.size(); ++i) {
+    const lang::Dependency& d = def.deps[i];
+    // Structural dependencies need no request: the rule reads the edge
+    // set directly.
+    if (d.kind != lang::Dependency::Kind::kRemote) continue;
+    size_t p = cls->PortIndexOf(d.port);
+    if (p == SIZE_MAX) continue;
+    for (const EdgeRecord& e : inst->ports()[p]) {
+      ++node.pending;
+      sched::Chunk chunk;
+      chunk.kind = sched::ChunkKind::kResolve;
+      chunk.owner = site.instance;
+      chunk.attr = site.attr;
+      chunk.edge = e.id;
+      chunk.peer = e.peer;
+      chunk.peer_port = e.peer_port;
+      chunk.dep = static_cast<uint32_t>(i);
+      chunk.owner_class = cls->id();
+      chunk.expected_io = db_->EdgeStatsFor(e.id).decay.value();
+      db_->scheduler_->Schedule(chunk);
     }
   }
 
-  for (const AttrSite& dep : local_requests) {
-    CACTIS_RETURN_IF_ERROR(RequestEval(dep, site, EdgeId(), false));
-  }
-  for (const auto& [edge, name] : remote_requests) {
-    ++nodes_[site].pending;
-    sched::Chunk chunk;
-    chunk.owner = edge.peer;
-    chunk.expected_io = db_->EdgeStatsFor(edge.id).decay.value();
-    EdgeRecord e = edge;
-    std::string value_name = name;
-    chunk.run = [this, site, e, value_name] {
-      return RunResolveChunk(site, e, value_name);
-    };
-    db_->scheduler_->Schedule(std::move(chunk));
-  }
-
-  EvalNode& after = nodes_[site];
-  after.gathered = true;
-  CACTIS_EVTRACE("[gathered] %llu.%u pending=%d\n",
-                 (unsigned long long)site.instance.value, site.attr,
-                 after.pending);
-  if (after.pending == 0) ScheduleCompute(site);
+  node.gathered = true;
+  if (node.pending == 0) ScheduleCompute(site);
   return Status::OK();
 }
 
-Status EvalEngine::RunResolveChunk(const AttrSite& parent,
-                                   const EdgeRecord& edge,
-                                   const std::string& name) {
-  db_->trace_.Record(obs::SpanKind::kResolveChunk, edge.peer.value,
-                     parent.attr);
-  if (!db_->store_.Contains(edge.peer)) return NotifyDependencyDone(parent);
+Status EvalEngine::RunResolveChunk(const sched::Chunk& chunk) {
+  const AttrSite parent{chunk.owner, chunk.attr};
+  db_->trace_.Record(obs::SpanKind::kResolveChunk, chunk.peer.value,
+                     chunk.attr);
+  if (!db_->store_.Contains(chunk.peer)) return NotifyDependencyDone(parent);
   uint64_t before = db_->disk_.stats().reads;
   CACTIS_ASSIGN_OR_RETURN(const schema::ObjectClass* peer_cls,
-                          db_->ClassOfInstancePtr(edge.peer));
-  nodes_[parent].io_cost +=
+                          db_->ClassOfInstancePtr(chunk.peer));
+  Node(parent).io_cost +=
       static_cast<double>(db_->disk_.stats().reads - before);
 
-  db_->RecordCrossing(edge.id);
-  size_t idx = peer_cls->ResolveProvidedValue(edge.peer_port, name);
+  const double expected_io = db_->RecordCrossing(chunk.edge).decay.value();
+  // The value's name comes from the parent's rule, through the catalog:
+  // looking up the parent's class by instance would touch its block.
+  const schema::ObjectClass* parent_cls =
+      db_->catalog()->GetClass(chunk.owner_class);
+  if (parent_cls == nullptr) {
+    return Status::Internal("resolve chunk for an unknown class");
+  }
+  const std::string& name =
+      parent_cls->attributes()[chunk.attr].deps[chunk.dep].name;
+  size_t idx = peer_cls->ResolveProvidedValue(chunk.peer_port, name);
   if (idx != SIZE_MAX) {
     const schema::AttributeDef& def = peer_cls->attributes()[idx];
-    CACTIS_ASSIGN_OR_RETURN(Instance * peer, db_->FetchInstance(edge.peer));
+    CACTIS_ASSIGN_OR_RETURN(Instance * peer, db_->FetchInstance(chunk.peer));
     if (def.is_derived() && peer->attrs()[idx].out_of_date) {
       CACTIS_RETURN_IF_ERROR(
-          RequestEval(AttrSite{edge.peer, static_cast<uint32_t>(idx)}, parent,
-                      edge.id, false));
+          RequestEval(AttrSite{chunk.peer, static_cast<uint32_t>(idx)},
+                      AttrCount(*peer_cls), &parent, chunk.edge, expected_io,
+                      false));
     }
   }
   // An unresolvable name is reported by the rule itself when it actually
@@ -439,10 +438,7 @@ Status EvalEngine::RunResolveChunk(const AttrSite& parent,
 }
 
 Status EvalEngine::NotifyDependencyDone(const AttrSite& site) {
-  EvalNode& node = nodes_[site];
-  CACTIS_EVTRACE("[notify] %llu.%u pending=%d gathered=%d\n",
-                 (unsigned long long)site.instance.value, site.attr,
-                 node.pending, (int)node.gathered);
+  EvalNode& node = Node(site);
   if (--node.pending == 0 && node.gathered && !node.done) {
     ScheduleCompute(site);
   }
@@ -451,23 +447,23 @@ Status EvalEngine::NotifyDependencyDone(const AttrSite& site) {
 
 void EvalEngine::ScheduleCompute(const AttrSite& site) {
   sched::Chunk chunk;
+  chunk.kind = sched::ChunkKind::kCompute;
   chunk.owner = site.instance;
+  chunk.attr = site.attr;
   chunk.expected_io = 0.0;  // inputs gathered; only the owner block needed
-  chunk.run = [this, site] { return RunComputeChunk(site); };
-  db_->scheduler_->Schedule(std::move(chunk));
+  db_->scheduler_->Schedule(chunk);
 }
 
 Status EvalEngine::RunComputeChunk(const AttrSite& site) {
   db_->trace_.Record(obs::SpanKind::kComputeChunk, site.instance.value,
                      site.attr);
-  EvalNode* node = &nodes_[site];
-  if (node->done) return Status::OK();
+  EvalNode& node = Node(site);
+  if (node.done) return Status::OK();
   if (!db_->store_.Contains(site.instance)) return CompleteNode(site);
 
   uint64_t before = db_->disk_.stats().reads;
   CACTIS_ASSIGN_OR_RETURN(Instance * inst, db_->FetchInstance(site.instance));
-  nodes_[site].io_cost +=
-      static_cast<double>(db_->disk_.stats().reads - before);
+  node.io_cost += static_cast<double>(db_->disk_.stats().reads - before);
 
   // Re-check freshness: a synchronous fallback may have evaluated us while
   // we waited in a queue.
@@ -485,32 +481,19 @@ Status EvalEngine::RunComputeChunk(const AttrSite& site) {
 }
 
 Status EvalEngine::CompleteNode(const AttrSite& site) {
-  CACTIS_EVTRACE("[complete] %llu.%u\n",
-                 (unsigned long long)site.instance.value, site.attr);
-  // Move waiters out before mutating the map further.
-  std::vector<AttrSite> waiters;
-  double io_cost = 0;
-  EdgeId via;
-  {
-    EvalNode& node = nodes_[site];
-    if (node.done) return Status::OK();
-    node.done = true;
-    waiters = std::move(node.waiters);
-    node.waiters.clear();
-    io_cost = node.io_cost;
-    via = node.via_edge;
+  EvalNode& node = Node(site);
+  if (node.done) return Status::OK();
+  node.done = true;
+
+  if (node.via_edge.valid() && db_->options_.adaptive_stats) {
+    db_->EdgeStatsFor(node.via_edge)
+        .decay.Record(node.io_cost, db_->options_.decay_alpha);
   }
 
-  if (via.valid() && db_->options_.adaptive_stats) {
-    db_->EdgeStatsFor(via).decay.Record(io_cost);
-  }
-
-  bool charged = false;
-  for (const AttrSite& w : waiters) {
-    if (!charged) {
-      nodes_[w].io_cost += io_cost;
-      charged = true;
-    }
+  // A done node takes no new waiters, so the list is stable while they
+  // are notified. The subtree's I/O is credited to the first waiter only.
+  if (!node.waiters.empty()) Node(node.waiters.front()).io_cost += node.io_cost;
+  for (const AttrSite& w : node.waiters) {
     CACTIS_RETURN_IF_ERROR(NotifyDependencyDone(w));
   }
   return Status::OK();
@@ -622,28 +605,36 @@ Result<Value> EvalEngine::EvalSync(const AttrSite& site, Transaction* txn) {
 // --- Driving ---------------------------------------------------------------
 
 Status EvalEngine::DrainAndCheck() {
+  Status status = DrainAndCheckImpl();
+  ClearNodes();
+  return status;
+}
+
+Status EvalEngine::DrainAndCheckImpl() {
   for (int round = 0; ; ++round) {
     while (true) {
-      CACTIS_RETURN_IF_ERROR(db_->scheduler_->RunUntilIdle());
+      CACTIS_RETURN_IF_ERROR(db_->scheduler_->RunUntilIdle(*this));
       if (to_evaluate_.empty()) break;
       while (!to_evaluate_.empty()) {
-        AttrSite site = to_evaluate_.front();
+        Important root = to_evaluate_.front();
         to_evaluate_.pop_front();
-        CACTIS_RETURN_IF_ERROR(
-            RequestEval(site, std::nullopt, EdgeId(), false));
+        CACTIS_RETURN_IF_ERROR(RequestEval(root.site, root.attr_count,
+                                           nullptr, EdgeId(), 0.0, false));
       }
     }
 
     // Collect stuck nodes (a dependency cycle and everything waiting on
     // it).
     std::vector<AttrSite> stuck;
-    for (const auto& [site, node] : nodes_) {
-      if (!node.done) stuck.push_back(site);
+    for (const TouchedRow& row : touched_) {
+      const EvalNode* nodes = node_rows_[row.instance.value];
+      for (uint32_t a = 0; a < row.attr_count; ++a) {
+        if (nodes[a].requested && !nodes[a].done) {
+          stuck.push_back(AttrSite{row.instance, a});
+        }
+      }
     }
-    if (stuck.empty()) {
-      nodes_.clear();
-      return Status::OK();
-    }
+    if (stuck.empty()) return Status::OK();
     std::sort(stuck.begin(), stuck.end());
 
     // The stuck set is the dependency cycle itself plus every attribute
@@ -656,24 +647,15 @@ Status EvalEngine::DrainAndCheck() {
       bool circular = cls.ok() && site.attr < (*cls)->attributes().size() &&
                       (*cls)->attributes()[site.attr].circular;
       if (circular) circular_stuck.push_back(site);
-      if (EvTraceEnabled()) {
-        const EvalNode& n2 = nodes_[site];
-        fprintf(stderr,
-                "[stuck] %s circ=%d pending=%d gathered=%d waiters=%zu\n",
-                SiteName(db_, site).c_str(), (int)circular, n2.pending,
-                (int)n2.gathered, n2.waiters.size());
-      }
     }
     if (circular_stuck.empty() || round > 8) {
-      AttrSite culprit = stuck.front();
-      bool had_circular = !circular_stuck.empty();
-      nodes_.clear();
       return Status::CycleDetected(
-          "attribute dependency cycle involving " + SiteName(db_, culprit) +
-          (had_circular
-               ? " (fixed-point evaluation did not settle the graph)"
-               : " (Cactis does not support data cycles; declare the "
-                 "attributes `circular` for fixed-point evaluation)"));
+          "attribute dependency cycle involving " +
+          SiteName(db_, stuck.front()) +
+          (circular_stuck.empty()
+               ? " (Cactis does not support data cycles; declare the "
+                 "attributes `circular` for fixed-point evaluation)"
+               : " (fixed-point evaluation did not settle the graph)"));
     }
 
     CACTIS_RETURN_IF_ERROR(FixpointEvaluate(circular_stuck));
@@ -682,6 +664,47 @@ Status EvalEngine::DrainAndCheck() {
       CACTIS_RETURN_IF_ERROR(CompleteNode(site));
     }
   }
+}
+
+EvalEngine::EvalNode& EvalEngine::NodeFor(const AttrSite& site,
+                                          uint32_t attr_count) {
+  uint64_t i = site.instance.value;
+  if (i >= node_rows_.size()) node_rows_.resize(i + 1, nullptr);
+  EvalNode*& row = node_rows_[i];
+  if (row == nullptr) {
+    // Carve the row from the first pool block with room for it.
+    while (pool_block_ < node_pool_.size() &&
+           node_pool_[pool_block_].size() - pool_used_ < attr_count) {
+      ++pool_block_;
+      pool_used_ = 0;
+    }
+    if (pool_block_ == node_pool_.size()) {
+      constexpr size_t kNodesPerBlock = 256;
+      node_pool_.emplace_back(std::max<size_t>(kNodesPerBlock, attr_count));
+    }
+    row = node_pool_[pool_block_].data() + pool_used_;
+    pool_used_ += attr_count;
+    touched_.push_back({site.instance, attr_count});
+  }
+  return row[site.attr];
+}
+
+void EvalEngine::ClearNodes() {
+  for (const TouchedRow& row : touched_) {
+    EvalNode* nodes = node_rows_[row.instance.value];
+    for (uint32_t a = 0; a < row.attr_count; ++a) {
+      EvalNode& n = nodes[a];
+      n.pending = 0;
+      n.requested = n.gathered = n.done = false;
+      n.io_cost = 0;
+      n.via_edge = EdgeId();
+      n.waiters.clear();  // keeps its capacity for the next drain
+    }
+    node_rows_[row.instance.value] = nullptr;
+  }
+  touched_.clear();
+  pool_block_ = 0;
+  pool_used_ = 0;
 }
 
 Status EvalEngine::FixpointEvaluate(std::vector<AttrSite> sites) {
@@ -765,10 +788,11 @@ Status EvalEngine::EvaluateImportantImpl(Transaction* txn) {
   return Status::OK();
 }
 
-Result<Value> EvalEngine::DemandValue(const AttrSite& site, Transaction* txn,
-                                      bool user_request) {
-  CACTIS_RETURN_IF_ERROR(RequestEval(site, std::nullopt, EdgeId(),
-                                     user_request));
+Result<Value> EvalEngine::DemandValue(const AttrSite& site,
+                                      const schema::ObjectClass& cls,
+                                      Transaction* txn, bool user_request) {
+  CACTIS_RETURN_IF_ERROR(RequestEval(site, AttrCount(cls), nullptr, EdgeId(),
+                                     0.0, user_request));
   CACTIS_RETURN_IF_ERROR(EvaluateImportant(txn));
   CACTIS_ASSIGN_OR_RETURN(Instance * inst, db_->FetchInstance(site.instance));
   return inst->attrs()[site.attr].value;

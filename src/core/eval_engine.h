@@ -23,10 +23,6 @@
 #define CACTIS_CORE_EVAL_ENGINE_H_
 
 #include <deque>
-#include <functional>
-#include <optional>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/ids.h"
@@ -35,6 +31,7 @@
 #include "core/instance.h"
 #include "lang/interpreter.h"
 #include "obs/metrics.h"
+#include "sched/scheduler.h"
 #include "schema/catalog.h"
 
 namespace cactis::core {
@@ -47,14 +44,6 @@ struct AttrSite {
   InstanceId instance;
   uint32_t attr = 0;
   auto operator<=>(const AttrSite&) const = default;
-};
-
-struct AttrSiteHash {
-  size_t operator()(const AttrSite& s) const {
-    uint64_t h = s.instance.value * 1099511628211ull;
-    h ^= s.attr + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-    return static_cast<size_t>(h);
-  }
 };
 
 struct EvalStats {
@@ -82,7 +71,7 @@ struct EvalStats {
   }
 };
 
-class EvalEngine {
+class EvalEngine : private sched::ChunkRunner {
  public:
   explicit EvalEngine(Database* db) : db_(db) {}
 
@@ -99,10 +88,12 @@ class EvalEngine {
   /// the environment layer's external-change hook).
   Status MarkAttribute(const AttrSite& site);
 
-  /// Queues a derived attribute for evaluation in the next
-  /// EvaluateImportant (used when instances are created: their constraints
-  /// and subtype predicates must be established).
-  void QueueImportant(const AttrSite& site) { to_evaluate_.push_back(site); }
+  /// Queues a derived attribute of an instance of `cls` for evaluation in
+  /// the next EvaluateImportant (used when instances are created: their
+  /// constraints and subtype predicates must be established).
+  void QueueImportant(const AttrSite& site, const schema::ObjectClass& cls) {
+    to_evaluate_.push_back({site, AttrCount(cls)});
+  }
 
   /// Phase 2: evaluates every queued important attribute (and what they
   /// need), checks constraints, runs recovery actions, re-checks. Returns
@@ -112,7 +103,9 @@ class EvalEngine {
 
   /// Demand a single attribute's current value (the user-query path;
   /// marks the chunk as a direct user request). Runs phase 2 for it.
-  Result<Value> DemandValue(const AttrSite& site, Transaction* txn,
+  /// `cls` is the class of `site.instance`.
+  Result<Value> DemandValue(const AttrSite& site,
+                            const schema::ObjectClass& cls, Transaction* txn,
                             bool user_request);
 
   /// Synchronous recursive evaluation (also the fallback when a rule
@@ -137,43 +130,59 @@ class EvalEngine {
   friend class RuleContext;
 
   struct EvalNode {
-    AttrSite site;
     int pending = 0;           // dependency evaluations outstanding
-    bool requested = false;    // chunk1 scheduled
+    bool requested = false;    // chunk1 scheduled in the current drain
     bool gathered = false;     // chunk1 ran
     bool done = false;
-    bool charged = false;      // io_cost already credited to a parent
     double io_cost = 0;        // block misses incurred for this subtree
     EdgeId via_edge;           // edge crossed by the first requester
     std::vector<AttrSite> waiters;
   };
 
+  /// An attribute queued for the next drain, with its class's attribute
+  /// count (the size of its instance's node row).
+  struct Important {
+    AttrSite site;
+    uint32_t attr_count;
+  };
+
+  static uint32_t AttrCount(const schema::ObjectClass& cls) {
+    return static_cast<uint32_t>(cls.attributes().size());
+  }
+
+  // sched::ChunkRunner: dispatches on the chunk's kind.
+  Status RunChunk(const sched::Chunk& chunk) override;
+
   /// Enumerates the attributes that depend on `site` (local dependents of
   /// the same instance, then remote dependents across relationships),
-  /// passing the relationship edge crossed (invalid for local).
-  Status ForEachDependent(
-      const AttrSite& site,
-      const std::function<Status(const AttrSite&, EdgeId)>& fn);
+  /// calling fn(dependent, stats): `stats` is the statistics entry of the
+  /// relationship edge crossed, on which the crossing was counted, or
+  /// null for a local dependent.
+  template <typename Fn>
+  Status ForEachDependent(const AttrSite& site, Fn&& fn);
 
-  /// Requests evaluation of `site` on behalf of `waiter` (nullopt for
-  /// roots). `via_edge` is the relationship crossed, for I/O statistics.
-  Status RequestEval(const AttrSite& site, std::optional<AttrSite> waiter,
-                     EdgeId via_edge, bool user_request);
+  /// Requests evaluation of `site` (an attribute of a class with
+  /// `attr_count` attributes) on behalf of `waiter` (null for roots).
+  /// `via_edge` is the relationship crossed, for I/O statistics, and
+  /// `expected_io` its current estimate (0 for local and root requests).
+  Status RequestEval(const AttrSite& site, uint32_t attr_count,
+                     const AttrSite* waiter, EdgeId via_edge,
+                     double expected_io, bool user_request);
 
   Status RunGatherChunk(const AttrSite& site);   // chunk 1
   /// Touches a remote dependency's instance, resolves the value name to an
   /// attribute of its class, and requests its evaluation if stale.
-  Status RunResolveChunk(const AttrSite& parent, const EdgeRecord& edge,
-                         const std::string& name);
+  Status RunResolveChunk(const sched::Chunk& chunk);
   Status NotifyDependencyDone(const AttrSite& site);
   void ScheduleCompute(const AttrSite& site);
   Status RunComputeChunk(const AttrSite& site);  // chunk 2
   Status CompleteNode(const AttrSite& site);
   Status EvaluateImportantImpl(Transaction* txn);
 
-  /// Schedules a marking chunk for `site` reached across `via_edge`
-  /// (invalid id for local steps).
-  void ScheduleMark(const AttrSite& site, EdgeId via_edge);
+  /// Schedules a marking chunk for `site`; `expected_io` is the
+  /// worst-case estimate of the edge crossed to reach it (0 for local
+  /// steps).
+  void ScheduleMark(const AttrSite& site, double expected_io);
   Status RunMarkChunk(const AttrSite& site);
 
   /// Executes the attribute's rule and publishes the value; shared by the
@@ -185,8 +194,10 @@ class EvalEngine {
   /// cycle: if every stuck attribute is declared `circular`, the cycle is
   /// resolved by fixed-point iteration ([Far86]; paper section 4 notes
   /// these techniques "are being incorporated into Cactis"); otherwise it
-  /// is an error ("Cactis does not support data cycles").
+  /// is an error ("Cactis does not support data cycles"). The node table
+  /// is cleared on every exit, error or not.
   Status DrainAndCheck();
+  Status DrainAndCheckImpl();
 
   /// Fixed-point evaluation of a strongly-coupled set of circular
   /// attributes: initialise each to its declared default (the lattice
@@ -196,12 +207,47 @@ class EvalEngine {
   /// Post-evaluation constraint handling with recovery rounds.
   Status ProcessViolations(Transaction* txn);
 
+  // --- The node table: evaluation state of the current drain ---------------
+
+  /// The node of `site`, or null when its instance has no row this drain.
+  EvalNode* FindNode(const AttrSite& site) {
+    uint64_t i = site.instance.value;
+    return i < node_rows_.size() && node_rows_[i] != nullptr
+               ? &node_rows_[i][site.attr]
+               : nullptr;
+  }
+  /// The node of `site`, giving its instance a row of `attr_count` nodes
+  /// if it has none.
+  EvalNode& NodeFor(const AttrSite& site, uint32_t attr_count);
+  /// The node of a site that has one (requested this drain).
+  EvalNode& Node(const AttrSite& site) {
+    return node_rows_[site.instance.value][site.attr];
+  }
+  /// Resets every row handed out this drain and returns them to the pool.
+  void ClearNodes();
+
   Database* db_;
   EvalStats stats_;
   bool replay_mode_ = false;
 
-  std::unordered_map<AttrSite, EvalNode, AttrSiteHash> nodes_;
-  std::deque<AttrSite> to_evaluate_;
+  // Indexed by InstanceId::value: the instance's row of nodes (one per
+  // attribute of its class), or null. Rows are carved from `node_pool_`
+  // blocks, which never move, so a node reference stays valid while other
+  // rows are added; `touched_` lists the rows to reset on ClearNodes.
+  std::vector<EvalNode*> node_rows_;
+  struct TouchedRow {
+    InstanceId instance;
+    uint32_t attr_count;
+  };
+  std::vector<TouchedRow> touched_;
+  std::vector<std::vector<EvalNode>> node_pool_;  // blocks, never resized
+  size_t pool_block_ = 0;  // block the next row is carved from
+  size_t pool_used_ = 0;   // nodes of that block already handed out
+
+  // Reused across calls: ForEachDependent's copy of the edges crossed.
+  std::vector<EdgeRecord> dependent_edges_;
+
+  std::deque<Important> to_evaluate_;
   std::vector<AttrSite> violations_;
   std::vector<AttrSite> sync_stack_;
   Transaction* current_txn_ = nullptr;

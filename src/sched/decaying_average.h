@@ -12,20 +12,22 @@
 
 namespace cactis::sched {
 
-class DecayingAverage {
+/// The state of a decaying average without its weight: tables holding
+/// many averages under one shared alpha (the per-edge statistics) keep
+/// this and pass the alpha to each Record.
+class DecayState {
  public:
-  /// `alpha` is the weight of each new sample (0 < alpha <= 1).
-  explicit DecayingAverage(double alpha = 0.25, double initial = 1.0)
-      : alpha_(alpha), value_(initial) {}
+  explicit DecayState(double initial = 1.0) : value_(initial) {}
 
   /// Records an observation: value <- alpha*sample + (1-alpha)*value. The
-  /// first sample after a Seed() replaces the seed entirely.
-  void Record(double sample) {
+  /// first sample after a Seed() (or construction) replaces the seed
+  /// entirely.
+  void Record(double sample, double alpha) {
     if (seeded_only_) {
       value_ = sample;
       seeded_only_ = false;
     } else {
-      value_ = alpha_ * sample + (1.0 - alpha_) * value_;
+      value_ = alpha * sample + (1.0 - alpha) * value_;
     }
   }
 
@@ -37,12 +39,28 @@ class DecayingAverage {
   }
 
   double value() const { return value_; }
+
+ private:
+  double value_;
+  bool seeded_only_ = true;
+};
+
+/// A decaying average that carries its own weight.
+class DecayingAverage {
+ public:
+  /// `alpha` is the weight of each new sample (0 < alpha <= 1).
+  explicit DecayingAverage(double alpha = 0.25, double initial = 1.0)
+      : alpha_(alpha), state_(initial) {}
+
+  void Record(double sample) { state_.Record(sample, alpha_); }
+  void Seed(double estimate) { state_.Seed(estimate); }
+
+  double value() const { return state_.value(); }
   double alpha() const { return alpha_; }
 
  private:
   double alpha_;
-  double value_;
-  bool seeded_only_ = true;
+  DecayState state_;
 };
 
 }  // namespace cactis::sched

@@ -26,7 +26,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <queue>
 #include <unordered_map>
 #include <vector>
@@ -55,12 +54,46 @@ enum class SchedulingPolicy {
 
 std::string_view SchedulingPolicyToString(SchedulingPolicy p);
 
-/// A schedulable unit of work. `run` may schedule further chunks.
+/// What a chunk does: the steps of paper section 2.2's two phases.
+enum class ChunkKind : uint8_t {
+  kMark,     // mark one attribute out of date, then schedule its dependents
+  kGather,   // evaluation chunk 1: request the values a rule depends on
+  kResolve,  // touch a remote dependency's instance; request it if stale
+  kCompute,  // evaluation chunk 2: run the rule and publish the value
+};
+
+/// A schedulable unit of work: a plain value naming one step on one
+/// attribute. The ChunkRunner handed to RunUntilIdle carries it out, and
+/// may schedule further chunks while doing so.
 struct Chunk {
-  InstanceId owner;          // instance whose block this chunk touches
+  ChunkKind kind = ChunkKind::kMark;
+  bool user_request = false;  // "direct user requests" special priority
+  uint32_t attr = 0;          // attribute index within `owner`'s class
+  InstanceId owner;           // the attribute's instance
+  // kResolve only: the edge crossed to the dependency, and the rule
+  // dependency it supplies (index into the owner attribute's deps of
+  // class `owner_class`, so the value is named without touching `owner`).
+  EdgeId edge;
+  InstanceId peer;
+  uint32_t peer_port = 0;
+  uint32_t dep = 0;
+  ClassId owner_class;
   double expected_io = 1.0;  // priority key: expected block reads
-  bool user_request = false; // "direct user requests" special priority
-  std::function<Status()> run;
+
+  /// The instance whose block the chunk touches: the peer for a resolve
+  /// chunk, the owner otherwise.
+  InstanceId target() const {
+    return kind == ChunkKind::kResolve ? peer : owner;
+  }
+};
+
+/// Carries out chunks for RunUntilIdle.
+class ChunkRunner {
+ public:
+  virtual Status RunChunk(const Chunk& chunk) = 0;
+
+ protected:
+  ~ChunkRunner() = default;
 };
 
 struct SchedulerStats {
@@ -86,10 +119,11 @@ class ChunkScheduler : public storage::ResidencyListener {
 
   /// Enqueues a chunk. May be called while RunUntilIdle is draining (a
   /// running chunk scheduling its successors).
-  void Schedule(Chunk chunk);
+  void Schedule(const Chunk& chunk);
 
-  /// Runs chunks until every queue is empty. Returns the first error.
-  Status RunUntilIdle();
+  /// Hands chunks to `runner` until every queue is empty. Returns the
+  /// first error; the chunks still queued then stay queued.
+  Status RunUntilIdle(ChunkRunner& runner);
 
   bool Idle() const;
 
@@ -102,27 +136,44 @@ class ChunkScheduler : public storage::ResidencyListener {
   void ResetStats() { stats_ = SchedulerStats{}; }
 
  private:
-  struct Pending {
-    uint64_t seq;
-    std::unique_ptr<Chunk> chunk;
-  };
-
-  /// Pops the next chunk to run under the current policy, or nullptr.
-  std::unique_ptr<Chunk> PopNext();
-  void IndexByBlock(uint64_t seq, const Chunk& chunk);
+  /// Takes the next chunk to run under the current policy into `out`;
+  /// false when every queue is empty.
+  bool PopNext(Chunk* out);
+  /// Queues a greedy chunk whose block is not resident: into the slab,
+  /// the expected-I/O queue and the block index.
+  void Park(const Chunk& chunk);
+  /// Moves a parked chunk out of its slab slot and frees the slot.
+  Chunk Unpark(uint32_t slot);
 
   storage::RecordStore* store_;
   SchedulingPolicy policy_;
 
+  // Chunks that may be taken from only one place are held by value.
+  std::deque<Chunk> high_;  // in-memory / promoted
+  std::deque<Chunk> user_;  // direct user requests
+  std::vector<Chunk> dfs_stack_;
+  std::deque<Chunk> bfs_queue_;
+
+  // A parked chunk is reachable from two places, the expected-I/O queue
+  // and the block index, and runs from whichever reaches it first. It
+  // lives in a slab slot stamped with the chunk's sequence number; a
+  // reference whose number no longer matches its slot is stale (the
+  // chunk already ran, and the slot may hold another) and is skipped.
+  struct Parked {
+    uint64_t seq = 0;  // 0: slot free
+    Chunk chunk;
+  };
+  struct SlabRef {
+    uint32_t slot;
+    uint64_t seq;
+  };
+  std::vector<Parked> slab_;
+  std::vector<uint32_t> free_slots_;
   uint64_t next_seq_ = 0;
-  // All queues hold sequence numbers into `arena_`; a popped seq whose
-  // arena entry is gone was already run from another queue.
-  std::unordered_map<uint64_t, std::unique_ptr<Chunk>> arena_;
-  std::deque<uint64_t> high_;  // in-memory / promoted
-  std::deque<uint64_t> user_;  // direct user requests
   struct IoOrder {
     double expected_io;
     uint64_t seq;
+    uint32_t slot;
     bool operator>(const IoOrder& o) const {
       if (expected_io != o.expected_io) return expected_io > o.expected_io;
       return seq > o.seq;
@@ -130,9 +181,7 @@ class ChunkScheduler : public storage::ResidencyListener {
   };
   std::priority_queue<IoOrder, std::vector<IoOrder>, std::greater<IoOrder>>
       pending_;
-  std::vector<uint64_t> dfs_stack_;
-  std::deque<uint64_t> bfs_queue_;
-  std::unordered_map<BlockId, std::vector<uint64_t>> by_block_;
+  std::unordered_map<BlockId, std::vector<SlabRef>> by_block_;
 
   SchedulerStats stats_;
 };

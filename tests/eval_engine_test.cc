@@ -248,5 +248,77 @@ TEST(EvalPolicyTest, AllPoliciesComputeTheSameValues) {
   }
 }
 
+// A rule error ends the drain early. It must leave no evaluation state
+// behind that a later request could trip over: the same failing read
+// fails the same way again, and once the input is fixed the read succeeds.
+const char* kDivisionSchema = R"(
+  object class ratio is
+    attributes
+      base : int;
+      q : int;
+      r : int;
+    rules
+      q = 10 / base;
+      r = q + 1;
+  end object;
+)";
+
+TEST(EvalEngineFailureTest, RuleErrorLeavesNoEvaluationState) {
+  Database db;
+  ASSERT_TRUE(db.LoadSchema(kDivisionSchema).ok());
+  auto id = db.Create("ratio");
+  ASSERT_TRUE(id.ok()) << id.status();
+  ASSERT_TRUE(db.Set(*id, "base", Value::Int(0)).ok());
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    auto r = db.Peek(*id, "r");
+    ASSERT_FALSE(r.ok()) << "attempt " << attempt;
+    EXPECT_NE(r.status().message().find("division by zero"),
+              std::string::npos)
+        << "attempt " << attempt << ": " << r.status();
+  }
+  ASSERT_TRUE(db.Set(*id, "base", Value::Int(2)).ok());
+  auto peeked = db.Peek(*id, "r");
+  ASSERT_TRUE(peeked.ok()) << peeked.status();
+  EXPECT_EQ(*peeked, Value::Int(6));
+  auto got = db.Get(*id, "r");
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(*got, Value::Int(6));
+}
+
+// As above, with a sibling dependency still queued when the rule fails:
+// its chunk outlives the failed drain and must not disturb the next one.
+const char* kSiblingSchema = R"(
+  object class pair is
+    attributes
+      base : int;
+      q1 : int;
+      q2 : int;
+      r : int;
+    rules
+      q1 = 10 / base;
+      q2 = base + 1;
+      r = q1 + q2;
+  end object;
+)";
+
+TEST(EvalEngineFailureTest, QueuedSiblingOfFailedRuleIsHarmless) {
+  Database db;
+  ASSERT_TRUE(db.LoadSchema(kSiblingSchema).ok());
+  auto id = db.Create("pair");
+  ASSERT_TRUE(id.ok()) << id.status();
+  ASSERT_TRUE(db.Set(*id, "base", Value::Int(0)).ok());
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    auto r = db.Peek(*id, "r");
+    ASSERT_FALSE(r.ok()) << "attempt " << attempt;
+    EXPECT_NE(r.status().message().find("division by zero"),
+              std::string::npos)
+        << "attempt " << attempt << ": " << r.status();
+  }
+  ASSERT_TRUE(db.Set(*id, "base", Value::Int(2)).ok());
+  auto got = db.Get(*id, "r");
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(*got, Value::Int(8));
+}
+
 }  // namespace
 }  // namespace cactis::core

@@ -41,21 +41,28 @@ class SchedulerTest : public ::testing::Test {
     ASSERT_TRUE(pool_.FlushAll().ok());
   }
 
-  /// Engine chunks fault their owner's block in themselves; mirror that.
-  Chunk Make(uint64_t owner, double io, std::vector<int>* log, int tag,
-             bool user = false) {
+  /// A chunk on `owner`, tagged `tag` (carried in its attribute index).
+  static Chunk Make(uint64_t owner, double io, int tag, bool user = false) {
     Chunk c;
     c.owner = InstanceId(owner);
+    c.attr = static_cast<uint32_t>(tag);
     c.expected_io = io;
     c.user_request = user;
-    storage::RecordStore* store = &store_;
-    c.run = [store, owner, log, tag] {
-      CACTIS_RETURN_IF_ERROR(store->Touch(InstanceId(owner)));
-      log->push_back(tag);
-      return Status::OK();
-    };
     return c;
   }
+
+  /// Engine chunks fault their owner's block in themselves; this runner
+  /// mirrors that, then logs the chunk's tag.
+  struct TouchAndLog : ChunkRunner {
+    explicit TouchAndLog(storage::RecordStore* store) : store(store) {}
+    Status RunChunk(const Chunk& chunk) override {
+      CACTIS_RETURN_IF_ERROR(store->Touch(chunk.owner));
+      log.push_back(static_cast<int>(chunk.attr));
+      return Status::OK();
+    }
+    storage::RecordStore* store;
+    std::vector<int> log;
+  };
 
   storage::SimulatedDisk disk_;
   storage::BufferPool pool_;
@@ -65,21 +72,21 @@ class SchedulerTest : public ::testing::Test {
 TEST_F(SchedulerTest, DepthFirstIsLifo) {
   ChunkScheduler sched(&store_, SchedulingPolicy::kDepthFirst);
   Populate(3);
-  std::vector<int> log;
-  sched.Schedule(Make(1, 1, &log, 1));
-  sched.Schedule(Make(2, 1, &log, 2));
-  sched.Schedule(Make(3, 1, &log, 3));
-  ASSERT_TRUE(sched.RunUntilIdle().ok());
-  EXPECT_EQ(log, (std::vector<int>{3, 2, 1}));
+  TouchAndLog runner(&store_);
+  sched.Schedule(Make(1, 1, 1));
+  sched.Schedule(Make(2, 1, 2));
+  sched.Schedule(Make(3, 1, 3));
+  ASSERT_TRUE(sched.RunUntilIdle(runner).ok());
+  EXPECT_EQ(runner.log, (std::vector<int>{3, 2, 1}));
 }
 
 TEST_F(SchedulerTest, BreadthFirstIsFifo) {
   ChunkScheduler sched(&store_, SchedulingPolicy::kBreadthFirst);
   Populate(3);
-  std::vector<int> log;
-  for (int i = 1; i <= 3; ++i) sched.Schedule(Make(i, 1, &log, i));
-  ASSERT_TRUE(sched.RunUntilIdle().ok());
-  EXPECT_EQ(log, (std::vector<int>{1, 2, 3}));
+  TouchAndLog runner(&store_);
+  for (int i = 1; i <= 3; ++i) sched.Schedule(Make(i, 1, i));
+  ASSERT_TRUE(sched.RunUntilIdle(runner).ok());
+  EXPECT_EQ(runner.log, (std::vector<int>{1, 2, 3}));
 }
 
 TEST_F(SchedulerTest, GreedyOrdersByExpectedIo) {
@@ -89,14 +96,14 @@ TEST_F(SchedulerTest, GreedyOrdersByExpectedIo) {
   for (int i = 4; i <= 8; ++i) {
     ASSERT_TRUE(store_.Put(InstanceId(i), std::string(200, 'y')).ok());
   }
-  std::vector<int> log;
-  sched.Schedule(Make(1, 5.0, &log, 1));
-  sched.Schedule(Make(2, 0.5, &log, 2));
-  sched.Schedule(Make(3, 2.0, &log, 3));
-  ASSERT_TRUE(sched.RunUntilIdle().ok());
+  TouchAndLog runner(&store_);
+  sched.Schedule(Make(1, 5.0, 1));
+  sched.Schedule(Make(2, 0.5, 2));
+  sched.Schedule(Make(3, 2.0, 3));
+  ASSERT_TRUE(sched.RunUntilIdle(runner).ok());
   // Note: running chunk 2 loads instance 2's block; chunks are re-checked
   // against the priority order each pop, so expected order is by io.
-  EXPECT_EQ(log, (std::vector<int>{2, 3, 1}));
+  EXPECT_EQ(runner.log, (std::vector<int>{2, 3, 1}));
 }
 
 TEST_F(SchedulerTest, ResidentOwnersRunFirst) {
@@ -104,12 +111,12 @@ TEST_F(SchedulerTest, ResidentOwnersRunFirst) {
   Populate(6);
   // Make instance 6 resident.
   ASSERT_TRUE(store_.Touch(InstanceId(6)).ok());
-  std::vector<int> log;
-  sched.Schedule(Make(1, 0.1, &log, 1));  // cheapest pending
-  sched.Schedule(Make(6, 9.0, &log, 6));  // resident: high queue
-  ASSERT_TRUE(sched.RunUntilIdle().ok());
-  ASSERT_EQ(log.size(), 2u);
-  EXPECT_EQ(log[0], 6);
+  TouchAndLog runner(&store_);
+  sched.Schedule(Make(1, 0.1, 1));  // cheapest pending
+  sched.Schedule(Make(6, 9.0, 6));  // resident: high queue
+  ASSERT_TRUE(sched.RunUntilIdle(runner).ok());
+  ASSERT_EQ(runner.log.size(), 2u);
+  EXPECT_EQ(runner.log[0], 6);
   EXPECT_GE(sched.stats().high_runs, 1u);
 }
 
@@ -129,49 +136,92 @@ TEST_F(SchedulerTest, BlockLoadPromotesSiblings) {
 
   ChunkScheduler sched(&store_, SchedulingPolicy::kGreedyAdaptive);
   pool_.AddListener(&sched);
-  std::vector<int> log;
-  sched.Schedule(Make(1, 1.0, &log, 1));
-  sched.Schedule(Make(3, 2.0, &log, 3));
-  sched.Schedule(Make(2, 9.0, &log, 2));  // expensive, but shares 1's block
-  ASSERT_TRUE(sched.RunUntilIdle().ok());
+  TouchAndLog runner(&store_);
+  sched.Schedule(Make(1, 1.0, 1));
+  sched.Schedule(Make(3, 2.0, 3));
+  sched.Schedule(Make(2, 9.0, 2));  // expensive, but shares 1's block
+  ASSERT_TRUE(sched.RunUntilIdle(runner).ok());
   // 1 runs first (cheapest); its block load promotes 2 past 3.
-  EXPECT_EQ(log, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(runner.log, (std::vector<int>{1, 2, 3}));
   EXPECT_GE(sched.stats().promotions, 1u);
+}
+
+TEST_F(SchedulerTest, StaleEntryNeverRunsReusedSlot) {
+  // Instances 1 and 2 share a block; 3 and 4 sit in others.
+  ASSERT_TRUE(store_.Put(InstanceId(1), std::string(100, 'a')).ok());
+  ASSERT_TRUE(store_.Put(InstanceId(2), std::string(100, 'b')).ok());
+  ASSERT_TRUE(store_.Put(InstanceId(3), std::string(200, 'c')).ok());
+  ASSERT_TRUE(store_.Put(InstanceId(4), std::string(200, 'd')).ok());
+  ASSERT_EQ(*store_.BlockOf(InstanceId(1)), *store_.BlockOf(InstanceId(2)));
+  ASSERT_NE(*store_.BlockOf(InstanceId(1)), *store_.BlockOf(InstanceId(3)));
+  ASSERT_TRUE(pool_.FlushAll().ok());
+  // Evict everything.
+  ASSERT_TRUE(store_.Put(InstanceId(5), std::string(200, 'e')).ok());
+  ASSERT_TRUE(store_.Put(InstanceId(6), std::string(200, 'f')).ok());
+  ASSERT_FALSE(store_.IsInstanceResident(InstanceId(1)));
+  ASSERT_FALSE(store_.IsInstanceResident(InstanceId(3)));
+  ASSERT_FALSE(store_.IsInstanceResident(InstanceId(4)));
+
+  ChunkScheduler sched(&store_, SchedulingPolicy::kGreedyAdaptive);
+  pool_.AddListener(&sched);
+  // The first chunk to run parks chunk 3 (its block is not resident) in
+  // the slot that promoting chunk 2 has just freed. The expected-I/O
+  // queue still holds chunk 2's entry for that slot, ranked ahead of
+  // chunk 3's own; it must be skipped, or chunk 3 would run twice.
+  struct ParkAfterPromotion : TouchAndLog {
+    using TouchAndLog::TouchAndLog;
+    Status RunChunk(const Chunk& chunk) override {
+      CACTIS_RETURN_IF_ERROR(TouchAndLog::RunChunk(chunk));
+      if (log.size() == 1) sched->Schedule(Make(3, 7.0, 3));
+      return Status::OK();
+    }
+    ChunkScheduler* sched = nullptr;
+  } runner(&store_);
+  runner.sched = &sched;
+  sched.Schedule(Make(1, 1.0, 1));
+  sched.Schedule(Make(2, 2.0, 2));  // promoted when 1's block loads
+  sched.Schedule(Make(4, 5.0, 4));
+  ASSERT_TRUE(sched.RunUntilIdle(runner).ok());
+  EXPECT_EQ(runner.log, (std::vector<int>{1, 2, 4, 3}));
+  EXPECT_EQ(sched.stats().promotions, 1u);
+  EXPECT_EQ(sched.stats().chunks_run, 4u);
+  EXPECT_TRUE(sched.Idle());
 }
 
 TEST_F(SchedulerTest, ChunksCanScheduleMoreChunks) {
   ChunkScheduler sched(&store_, SchedulingPolicy::kBreadthFirst);
   Populate(1);
-  std::vector<int> log;
-  Chunk outer;
-  outer.owner = InstanceId(1);
-  outer.run = [&] {
-    log.push_back(1);
-    Chunk inner;
-    inner.owner = InstanceId(1);
-    inner.run = [&log] {
-      log.push_back(2);
+  struct Spawner : TouchAndLog {
+    using TouchAndLog::TouchAndLog;
+    Status RunChunk(const Chunk& chunk) override {
+      CACTIS_RETURN_IF_ERROR(TouchAndLog::RunChunk(chunk));
+      if (chunk.attr == 1) sched->Schedule(Make(1, 1, 2));
       return Status::OK();
-    };
-    sched.Schedule(std::move(inner));
-    return Status::OK();
-  };
-  sched.Schedule(std::move(outer));
-  ASSERT_TRUE(sched.RunUntilIdle().ok());
-  EXPECT_EQ(log, (std::vector<int>{1, 2}));
+    }
+    ChunkScheduler* sched = nullptr;
+  } runner(&store_);
+  runner.sched = &sched;
+  sched.Schedule(Make(1, 1, 1));
+  ASSERT_TRUE(sched.RunUntilIdle(runner).ok());
+  EXPECT_EQ(runner.log, (std::vector<int>{1, 2}));
   EXPECT_TRUE(sched.Idle());
 }
 
 TEST_F(SchedulerTest, ErrorStopsDraining) {
   ChunkScheduler sched(&store_, SchedulingPolicy::kBreadthFirst);
   Populate(2);
-  std::vector<int> log;
-  Chunk bad;
-  bad.owner = InstanceId(1);
-  bad.run = [] { return Status::Internal("boom"); };
-  sched.Schedule(std::move(bad));
-  sched.Schedule(Make(2, 1, &log, 2));
-  EXPECT_FALSE(sched.RunUntilIdle().ok());
+  struct FailOnTag1 : TouchAndLog {
+    using TouchAndLog::TouchAndLog;
+    Status RunChunk(const Chunk& chunk) override {
+      if (chunk.attr == 1) return Status::Internal("boom");
+      return TouchAndLog::RunChunk(chunk);
+    }
+  } runner(&store_);
+  sched.Schedule(Make(1, 1, 1));
+  sched.Schedule(Make(2, 1, 2));
+  EXPECT_FALSE(sched.RunUntilIdle(runner).ok());
+  EXPECT_TRUE(runner.log.empty());
+  EXPECT_FALSE(sched.Idle());  // the rest stays queued
 }
 
 TEST_F(SchedulerTest, PolicyNames) {
