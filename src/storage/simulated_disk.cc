@@ -32,19 +32,21 @@ BlockId SimulatedDisk::Allocate() {
   } else {
     id = BlockId(++next_block_);
   }
-  blocks_[id] = std::string();
+  if (id.value >= blocks_.size()) blocks_.resize(id.value + 1);
+  blocks_[id.value].emplace();
+  ++allocated_;
   return id;
 }
 
 Status SimulatedDisk::Free(BlockId id) {
   std::lock_guard<std::mutex> lk(mu_);
   if (crashed_) return CrashedError();
-  auto it = blocks_.find(id);
-  if (it == blocks_.end()) {
+  if (Find(id) == nullptr) {
     return Status::IoError("freeing unallocated block " +
                            std::to_string(id.value));
   }
-  blocks_.erase(it);
+  blocks_[id.value].reset();
+  --allocated_;
   free_list_.push_back(id);
   ++stats_.frees;
   return Status::OK();
@@ -53,8 +55,8 @@ Status SimulatedDisk::Free(BlockId id) {
 Result<std::string> SimulatedDisk::Read(BlockId id) {
   std::lock_guard<std::mutex> lk(mu_);
   if (crashed_) return CrashedError();
-  auto it = blocks_.find(id);
-  if (it == blocks_.end()) {
+  auto* stored = Find(id);
+  if (stored == nullptr) {
     return Status::IoError("reading unallocated block " +
                            std::to_string(id.value));
   }
@@ -78,7 +80,7 @@ Result<std::string> SimulatedDisk::Read(BlockId id) {
       ++stats_.bit_flips;
       ++stats_.reads;
       if (auto* c = obs::RequestScope::CurrentCost()) ++c->blocks_read;
-      std::string copy = it->second;
+      std::string copy = *stored;
       FlipMiddleBit(&copy);
       return copy;
     }
@@ -88,14 +90,14 @@ Result<std::string> SimulatedDisk::Read(BlockId id) {
   }
   ++stats_.reads;
   if (auto* c = obs::RequestScope::CurrentCost()) ++c->blocks_read;
-  return it->second;
+  return *stored;
 }
 
 Status SimulatedDisk::Write(BlockId id, std::string content) {
   std::lock_guard<std::mutex> lk(mu_);
   if (crashed_) return CrashedError();
-  auto it = blocks_.find(id);
-  if (it == blocks_.end()) {
+  auto* stored = Find(id);
+  if (stored == nullptr) {
     return Status::IoError("writing unallocated block " +
                            std::to_string(id.value));
   }
@@ -119,7 +121,7 @@ Status SimulatedDisk::Write(BlockId id, std::string content) {
       // Power loss mid-write: a prefix lands, then the disk dies. The
       // caller sees the same error as a clean crash; the difference is on
       // the platter, where the block now fails its checksum.
-      it->second = content.substr(0, content.size() / 2);
+      *stored = content.substr(0, content.size() / 2);
       crashed_ = true;
       ++stats_.torn_writes;
       ++stats_.crashes;
@@ -137,7 +139,7 @@ Status SimulatedDisk::Write(BlockId id, std::string content) {
   }
   ++stats_.writes;
   if (auto* c = obs::RequestScope::CurrentCost()) ++c->blocks_written;
-  it->second = std::move(content);
+  *stored = std::move(content);
   uint64_t latency = write_latency_us_.load(std::memory_order_relaxed);
   if (latency != 0) {
     // One head: sleep under the device mutex, so concurrent callers queue
@@ -149,26 +151,26 @@ Status SimulatedDisk::Write(BlockId id, std::string content) {
 
 Result<std::string> SimulatedDisk::PeekRaw(BlockId id) const {
   std::lock_guard<std::mutex> lk(mu_);
-  auto it = blocks_.find(id);
-  if (it == blocks_.end()) {
+  auto* stored = Find(id);
+  if (stored == nullptr) {
     return Status::NotFound("no such block on platter: " +
                             std::to_string(id.value));
   }
-  return it->second;
+  return *stored;
 }
 
 Status SimulatedDisk::FlipBitForTesting(BlockId id, size_t bit_index) {
   std::lock_guard<std::mutex> lk(mu_);
-  auto it = blocks_.find(id);
-  if (it == blocks_.end()) {
+  auto* stored = Find(id);
+  if (stored == nullptr) {
     return Status::NotFound("no such block on platter: " +
                             std::to_string(id.value));
   }
-  if (it->second.empty()) {
+  if (stored->empty()) {
     return Status::InvalidArgument("cannot corrupt an empty block");
   }
-  size_t bit = bit_index % (it->second.size() * 8);
-  it->second[bit / 8] ^= static_cast<char>(1u << (bit % 8));
+  size_t bit = bit_index % (stored->size() * 8);
+  (*stored)[bit / 8] ^= static_cast<char>(1u << (bit % 8));
   return Status::OK();
 }
 

@@ -18,9 +18,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <mutex>
+#include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/ids.h"
@@ -109,7 +110,7 @@ class SimulatedDisk {
 
   bool IsAllocated(BlockId id) const {
     std::lock_guard<std::mutex> lk(mu_);
-    return blocks_.contains(id);
+    return Find(id) != nullptr;
   }
   /// Snapshot of every currently allocated block id (unordered). Offline
   /// salvage sweeps use this to look for orphaned WAL chunks past a
@@ -117,13 +118,15 @@ class SimulatedDisk {
   std::vector<BlockId> AllocatedBlocks() const {
     std::lock_guard<std::mutex> lk(mu_);
     std::vector<BlockId> ids;
-    ids.reserve(blocks_.size());
-    for (const auto& [id, content] : blocks_) ids.push_back(id);
+    ids.reserve(allocated_);
+    for (uint64_t i = 0; i < blocks_.size(); ++i) {
+      if (blocks_[i].has_value()) ids.push_back(BlockId(i));
+    }
     return ids;
   }
   size_t num_allocated_blocks() const {
     std::lock_guard<std::mutex> lk(mu_);
-    return blocks_.size();
+    return allocated_;
   }
 
   // --- Fault injection ----------------------------------------------------
@@ -164,6 +167,16 @@ class SimulatedDisk {
   void ResetStats() { stats_ = DiskStats{}; }
 
  private:
+  std::string* Find(BlockId id) {
+    return id.value < blocks_.size() && blocks_[id.value].has_value()
+               ? &*blocks_[id.value]
+               : nullptr;
+  }
+  const std::string* Find(BlockId id) const {
+    return id.value < blocks_.size() && blocks_[id.value].has_value()
+               ? &*blocks_[id.value]
+               : nullptr;
+  }
   Status CrashedError() const {
     return Status::IoError("simulated disk has crashed (fail-stop)");
   }
@@ -171,7 +184,11 @@ class SimulatedDisk {
   mutable std::mutex mu_;
   size_t block_size_;
   uint64_t next_block_ = 0;
-  std::unordered_map<BlockId, std::string> blocks_;
+  // The platter, indexed by BlockId::value (ids are dense counters, reused
+  // through free_list_); an empty slot is an unallocated id. A deque grows
+  // in fixed-size pieces, so the platter is never copied as it grows.
+  std::deque<std::optional<std::string>> blocks_;
+  size_t allocated_ = 0;
   std::vector<BlockId> free_list_;
   DiskStats stats_;
 

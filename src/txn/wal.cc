@@ -256,12 +256,13 @@ Status WriteAheadLog::WriteWithRetry(BlockId id, const std::string& framed) {
 
 Status WriteAheadLog::TruncateBefore(uint64_t before_seq) {
   while (!entry_blocks_.empty() && entry_blocks_.front().first < before_seq) {
-    for (BlockId b : entry_blocks_.front().second) {
-      CACTIS_RETURN_IF_ERROR(disk_->Free(b));
-      ++stats_.truncated_blocks;
-    }
-    ++stats_.truncated_entries;
+    const auto [seq, block] = entry_blocks_.front();
+    CACTIS_RETURN_IF_ERROR(disk_->Free(block));
+    ++stats_.truncated_blocks;
     entry_blocks_.pop_front();
+    if (entry_blocks_.empty() || entry_blocks_.front().first != seq) {
+      ++stats_.truncated_entries;  // that was the entry's last chunk
+    }
   }
   return Status::OK();
 }
@@ -421,8 +422,9 @@ Status WriteAheadLog::WriteBatch(const std::vector<StagedEntry>& batch) {
     ++stats_.blocks_written;
   }
 
-  entry_blocks_.emplace_back(
-      next_seq_, std::vector<BlockId>(blocks.begin(), blocks.end() - 1));
+  for (size_t i = 0; i + 1 < blocks.size(); ++i) {
+    entry_blocks_.emplace_back(next_seq_, blocks[i]);
+  }
   tail_block_ = blocks.back();
   ++next_seq_;
   stats_.entries_appended += batch.size();

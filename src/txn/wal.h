@@ -319,10 +319,12 @@ class WriteAheadLog {
   uint64_t next_seq_ = 1;    ///< entry sequence number of the next Append
   WalStats stats_;
   BackoffPolicy retry_policy_;
-  /// Chunk blocks of each sealed entry, oldest first, for TruncateBefore.
+  /// Chunk blocks of each sealed entry, oldest first, for TruncateBefore:
+  /// one (entry sequence number, block) pair per chunk, so the log's
+  /// bookkeeping costs no allocation per entry.
   /// Leader-private (appended by WriteBatch, drained by TruncateBefore
   /// under the statement lock with the log idle).
-  std::deque<std::pair<uint64_t, std::vector<BlockId>>> entry_blocks_;
+  std::deque<std::pair<uint64_t, BlockId>> entry_blocks_;
   obs::TraceSink* trace_ = nullptr;
 
   std::mutex group_mu_;
